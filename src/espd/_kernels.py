@@ -1,56 +1,35 @@
-"""Hot numerical kernels: numba-jitted with a pure-numpy fallback.
+"""Batch numerical kernels (numpy).
 
-Three kernels dominate runtime and exist in both flavors:
+Three kernels carry the bulk work:
 
 * ``level_map_batch`` -- the enhancement map applied to a whole array of
-  ``(eta, dcr)`` states at once (schedule search expands ~10^6 states);
+  ``(eta, dcr)`` states at once (the schedule search expands each frontier
+  through it); it runs the scalar path's own code on arrays, so batch and
+  scalar values are bit-identical;
 * ``vote_mass``       -- exact enumeration of all ``2**m`` detector-outcome
   vectors for the k-of-m vote (verification oracle);
 * ``mc_block``        -- one block of Monte Carlo trials on a counter-based
   splitmix64 stream.
 
-Backend selection happens once at import: numba is used when importable
-unless the environment variable ``ESPD_NUMBA`` is set to ``0``/``false``/
-``off``.  The Monte Carlo stream is counter-indexed (draw ``i`` of a block is
-a pure function of the block seed and ``i``), so tallies are bit-identical
-across backends, block scheduling, and thread counts.
+The Monte Carlo stream is counter-indexed (draw ``i`` of a block is a pure
+function of the block seed and ``i``), so tallies are bit-identical across
+block scheduling and thread counts.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from functools import lru_cache
 
 import numpy as np
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via ESPD_NUMBA=0 instead
-    _HAVE_NUMBA = False
-
-USE_NUMBA = _HAVE_NUMBA and os.environ.get("ESPD_NUMBA", "1").strip().lower() not in {
-    "0",
-    "false",
-    "off",
-    "no",
-}
+from . import dynamics
 
 __all__ = [
-    "USE_NUMBA",
     "backend_name",
     "mix64",
     "level_map_batch",
     "vote_mass",
     "mc_block",
-    "level_map_batch_numpy",
-    "vote_mass_numpy",
-    "mc_block_numpy",
-    "level_map_batch_numba",
-    "vote_mass_numba",
-    "mc_block_numba",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -66,7 +45,7 @@ _INV53 = 2.0**-53
 
 
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"
 
 
 def mix64(z: int) -> int:
@@ -77,59 +56,7 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-@lru_cache(maxsize=None)
-def _binom_table(n: int) -> np.ndarray:
-    """Pascal triangle up to n as float64 (exact for the n used here)."""
-    table = np.zeros((n + 1, n + 1), dtype=np.float64)
-    for i in range(n + 1):
-        for j in range(i + 1):
-            table[i, j] = float(math.comb(i, j))
-    table.setflags(write=False)
-    return table
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback implementations
-# ---------------------------------------------------------------------------
-
-
-def _tail_np(n: int, x: np.ndarray, m: int) -> np.ndarray:
-    # P[Binomial(n, x) >= m], elementwise over x; smallest terms first.
-    if m <= 0:
-        return np.ones_like(x)
-    if m > n:
-        return np.zeros_like(x)
-    acc = np.zeros_like(x)
-    one = 1.0 - x
-    for j in range(n, m - 1, -1):
-        acc += math.comb(n, j) * x**j * one ** (n - j)
-    return np.minimum(acc, 1.0)
-
-
-def _conv_tail_np(n1: int, x: np.ndarray, n2: int, y: np.ndarray, m: int) -> np.ndarray:
-    # P[Binomial(n1, x) + Binomial(n2, y) >= m]
-    if m <= 0:
-        return np.ones_like(x)
-    if m > n1 + n2:
-        return np.zeros_like(x)
-    tails2 = {}
-    for t in range(max(m - n1, 0), min(m, n2 + 1) + 1):
-        tails2[t] = _tail_np(n2, y, t)
-    acc = np.zeros_like(x)
-    one = 1.0 - x
-    for j1 in range(n1, -1, -1):
-        t = m - j1
-        if t <= 0:
-            tail2 = 1.0
-        elif t > n2:
-            continue
-        else:
-            tail2 = tails2[t]
-        acc += math.comb(n1, j1) * x**j1 * one ** (n1 - j1) * tail2
-    return np.minimum(acc, 1.0)
-
-
-def level_map_batch_numpy(
+def level_map_batch(
     eta: np.ndarray,
     d: np.ndarray,
     p: float,
@@ -138,29 +65,10 @@ def level_map_batch_numpy(
     n: int,
     k: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized enhancement map over arrays of (eta, d) states."""
+    """The enhancement map over equal-shape arrays of (eta, d) states."""
     eta = np.asarray(eta, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
-    p_pos = P * eta * (1.0 - d) + d
-    q_pos = Q * eta * (1.0 - d) + d
-    p_sig = eta + (1.0 - eta) * d
-    q_sig = d
-
-    survive = p_sig * _tail_np(n, p_pos, k - 1) + (1.0 - p_sig) * _tail_np(n, p_pos, k)
-    de = np.zeros_like(eta)
-    pw = 1.0
-    for i in range(1, n + 1):
-        loss = (1.0 - q_sig) * _conv_tail_np(
-            i, p_pos, n - i, q_pos, k
-        ) + q_sig * _conv_tail_np(i, p_pos, n - i, q_pos, k - 1)
-        de += pw * (1.0 - p) * loss
-        pw *= p
-    de += pw * survive
-    np.minimum(de, 1.0, out=de)
-
-    dcr = (1.0 - q_sig) * _tail_np(n, q_pos, k) + q_sig * _tail_np(n, q_pos, k - 1)
-    np.minimum(dcr, 1.0, out=dcr)
-    return de, dcr
+    return dynamics.level_figures(*dynamics.firing_probs(eta, d, P, Q), p, n, k)
 
 
 @lru_cache(maxsize=None)
@@ -173,7 +81,7 @@ def _outcome_bits(m: int) -> tuple[np.ndarray, np.ndarray]:
     return bits, pop
 
 
-def vote_mass_numpy(probs: np.ndarray, k: int) -> float:
+def vote_mass(probs: np.ndarray, k: int) -> float:
     """Probability that >= k of the independent detectors fire.
 
     Brute force over all 2**m outcome vectors; m <= ~17 is practical.
@@ -185,7 +93,7 @@ def vote_mass_numpy(probs: np.ndarray, k: int) -> float:
     return float(pr[pop >= k].sum())
 
 
-def _uniforms_np(state0: int, idx: np.ndarray) -> np.ndarray:
+def _uniforms(state0: int, idx: np.ndarray) -> np.ndarray:
     z = _U64(state0) + (idx + _U64(1)) * _GOLDEN64
     z = (z ^ (z >> _U64(30))) * _MIX1_64
     z = (z ^ (z >> _U64(27))) * _MIX2_64
@@ -193,7 +101,7 @@ def _uniforms_np(state0: int, idx: np.ndarray) -> np.ndarray:
     return (z >> _U64(11)).astype(np.float64) * _INV53
 
 
-def mc_block_numpy(
+def mc_block(
     state0: int,
     ntrials: int,
     n: int,
@@ -208,12 +116,12 @@ def mc_block_numpy(
 
     Each trial owns 3n + 2 counter-indexed draws: n module-survival draws,
     n + 1 detector draws for the signal trial, n + 1 for the vacuum trial.
-    Unused draws (after an early loss) still occupy their slots, which keeps
-    the numba and numpy paths bit-identical.
+    Unused draws (after an early loss) still occupy their slots, so draw
+    ``i`` of trial ``t`` sits at a fixed counter.
     """
     per = 3 * n + 2
     idx = np.arange(ntrials * per, dtype=np.uint64).reshape(ntrials, per)
-    u = _uniforms_np(state0, idx)
+    u = _uniforms(state0, idx)
 
     fail = u[:, :n] >= p
     lost = fail.any(axis=1)
@@ -230,187 +138,3 @@ def mc_block_numpy(
     vac_fires += u[:, 3 * n + 1] < q_sig
     dcr_count = int((vac_fires >= k).sum())
     return de_count, dcr_count
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (compiled only when the backend is active)
-# ---------------------------------------------------------------------------
-
-level_map_batch_numba = None
-vote_mass_numba = None
-mc_block_numba = None
-
-if _HAVE_NUMBA:
-    _njit = numba.njit(cache=True, nogil=True)
-
-    @_njit
-    def _tail_nb(n, x, m, C):
-        if m <= 0:
-            return 1.0
-        if m > n:
-            return 0.0
-        if x <= 0.0:
-            return 0.0
-        if x >= 1.0:
-            return 1.0
-        acc = 0.0
-        for j in range(n, m - 1, -1):
-            acc += C[n, j] * x**j * (1.0 - x) ** (n - j)
-        return acc if acc < 1.0 else 1.0
-
-    @_njit
-    def _conv_tail_nb(n1, x, n2, y, m, C):
-        if m <= 0:
-            return 1.0
-        if m > n1 + n2:
-            return 0.0
-        acc = 0.0
-        for j1 in range(n1, -1, -1):
-            if x <= 0.0:
-                p1 = 1.0 if j1 == 0 else 0.0
-            elif x >= 1.0:
-                p1 = 1.0 if j1 == n1 else 0.0
-            else:
-                p1 = C[n1, j1] * x**j1 * (1.0 - x) ** (n1 - j1)
-            if p1 == 0.0:
-                continue
-            acc += p1 * _tail_nb(n2, y, m - j1, C)
-        return acc if acc < 1.0 else 1.0
-
-    @_njit
-    def _level_map_batch_nb(eta, d, p, P, Q, n, k, C):
-        count = eta.shape[0]
-        out_e = np.empty(count, dtype=np.float64)
-        out_d = np.empty(count, dtype=np.float64)
-        for t in range(count):
-            e = eta[t]
-            dd = d[t]
-            p_pos = P * e * (1.0 - dd) + dd
-            q_pos = Q * e * (1.0 - dd) + dd
-            p_sig = e + (1.0 - e) * dd
-            q_sig = dd
-
-            survive = p_sig * _tail_nb(n, p_pos, k - 1, C) + (1.0 - p_sig) * _tail_nb(
-                n, p_pos, k, C
-            )
-            de = 0.0
-            pw = 1.0
-            for i in range(1, n + 1):
-                loss = (1.0 - q_sig) * _conv_tail_nb(i, p_pos, n - i, q_pos, k, C) + (
-                    q_sig
-                ) * _conv_tail_nb(i, p_pos, n - i, q_pos, k - 1, C)
-                de += pw * (1.0 - p) * loss
-                pw *= p
-            de += pw * survive
-            if de > 1.0:
-                de = 1.0
-
-            dn = (1.0 - q_sig) * _tail_nb(n, q_pos, k, C) + q_sig * _tail_nb(
-                n, q_pos, k - 1, C
-            )
-            if dn > 1.0:
-                dn = 1.0
-            out_e[t] = de
-            out_d[t] = dn
-        return out_e, out_d
-
-    @_njit
-    def _vote_mass_nb(probs, k):
-        m = probs.shape[0]
-        total = 0.0
-        for mask in range(1 << m):
-            cnt = 0
-            pr = 1.0
-            mm = mask
-            for j in range(m):
-                if mm & 1:
-                    pr *= probs[j]
-                    cnt += 1
-                else:
-                    pr *= 1.0 - probs[j]
-                mm >>= 1
-            if cnt >= k:
-                total += pr
-        return total
-
-    @_njit
-    def _u01_nb(state0, idx):
-        z = state0 + (idx + np.uint64(1)) * _GOLDEN64
-        z = (z ^ (z >> np.uint64(30))) * _MIX1_64
-        z = (z ^ (z >> np.uint64(27))) * _MIX2_64
-        z = z ^ (z >> np.uint64(31))
-        return np.float64(z >> np.uint64(11)) * _INV53
-
-    @_njit
-    def _mc_block_nb(state0, ntrials, n, k, p, p_pos, q_pos, p_sig, q_sig):
-        per = 3 * n + 2
-        de_count = 0
-        dcr_count = 0
-        for t in range(ntrials):
-            base = np.uint64(t * per)
-            active = n
-            lost = False
-            for j in range(n):
-                if _u01_nb(state0, base + np.uint64(j)) >= p:
-                    active = j + 1
-                    lost = True
-                    break
-            fires = 0
-            for j in range(n):
-                pr = p_pos if j < active else q_pos
-                if _u01_nb(state0, base + np.uint64(n + j)) < pr:
-                    fires += 1
-            sig_p = q_sig if lost else p_sig
-            if _u01_nb(state0, base + np.uint64(2 * n)) < sig_p:
-                fires += 1
-            if fires >= k:
-                de_count += 1
-
-            vac = 0
-            for j in range(n):
-                if _u01_nb(state0, base + np.uint64(2 * n + 1 + j)) < q_pos:
-                    vac += 1
-            if _u01_nb(state0, base + np.uint64(3 * n + 1)) < q_sig:
-                vac += 1
-            if vac >= k:
-                dcr_count += 1
-        return de_count, dcr_count
-
-    def level_map_batch_numba(eta, d, p, P, Q, n, k):
-        eta = np.ascontiguousarray(eta, dtype=np.float64)
-        d = np.ascontiguousarray(d, dtype=np.float64)
-        return _level_map_batch_nb(
-            eta, d, float(p), float(P), float(Q), int(n), int(k), _binom_table(n)
-        )
-
-    def vote_mass_numba(probs, k):
-        probs = np.ascontiguousarray(probs, dtype=np.float64)
-        return float(_vote_mass_nb(probs, int(k)))
-
-    def mc_block_numba(state0, ntrials, n, k, p, p_pos, q_pos, p_sig, q_sig):
-        de_c, dcr_c = _mc_block_nb(
-            np.uint64(state0),
-            int(ntrials),
-            int(n),
-            int(k),
-            float(p),
-            float(p_pos),
-            float(q_pos),
-            float(p_sig),
-            float(q_sig),
-        )
-        return int(de_c), int(dcr_c)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-    level_map_batch = level_map_batch_numba
-    vote_mass = vote_mass_numba
-    mc_block = mc_block_numba
-else:
-    level_map_batch = level_map_batch_numpy
-    vote_mass = vote_mass_numpy
-    mc_block = mc_block_numpy

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 from . import binomial
+from .dynamics import N_MAX
 
 __all__ = [
     "PreconditionError",
@@ -51,8 +52,8 @@ class BoundInputs:
     def __post_init__(self) -> None:
         if self.a < 0.0:
             raise ValueError(f"a must be >= 0, got {self.a!r}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        if not isinstance(self.n, int) or not 1 <= self.n <= N_MAX:
+            raise ValueError(f"n must be an integer in [1, {N_MAX}], got {self.n!r}")
         if not isinstance(self.k, int) or not 1 <= self.k <= self.n:
             raise ValueError(f"k must satisfy 1 <= k <= n, got k={self.k!r}, n={self.n!r}")
         if not 0.0 <= self.x <= 1.0:

@@ -31,8 +31,10 @@ __all__ = [
     "TrajectoryPoint",
     "Trajectory",
     "ConvergenceRule",
+    "firing_probs",
     "level_intermediates",
     "approx_intermediates",
+    "level_figures",
     "de_loss_case",
     "de_survive_case",
     "de_from_intermediates",
@@ -44,8 +46,8 @@ __all__ = [
     "effective_transmission",
 ]
 
-# Hard cap on controlled modules per level; math.comb stays exact and the
-# per-level tail sums stay O(n**3) at worst.
+# Hard cap on controlled modules per level, shared by every entry point
+# (library, CLI, bounds); the level map costs O(n**2) operations per state.
 N_MAX = 64
 
 
@@ -100,8 +102,9 @@ class LevelConfig:
     k: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not isinstance(self.k, int):
-            raise ValueError("n and k must be integers")
+        # bool is an int subclass, but True/False are not module counts
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.n, self.k)):
+            raise ValueError(f"n and k must be integers, got n={self.n!r}, k={self.k!r}")
         if self.n < 1 or self.n > N_MAX:
             raise ValueError(f"n must be in [1, {N_MAX}], got {self.n}")
         if self.k < 1 or self.k > self.n:
@@ -186,10 +189,8 @@ class ConvergenceRule:
             raise ValueError("tolerances must be >= 0")
 
 
-def level_intermediates(
-    det: DetectorPerformance, params: ComponentParams
-) -> LevelIntermediates:
-    """Exact per-detector firing probabilities for the next level.
+def firing_probs(eta, dcr, P_act: float, Q_err: float) -> tuple:
+    """Per-detector firing probabilities ``(p_pos, q_pos, p_sig, q_sig)``.
 
     An auxiliary path that is non-vacuum (probability P_act or Q_err
     depending on the gate input) is seen by a stage detector with efficiency
@@ -199,14 +200,25 @@ def level_intermediates(
         q_pos = Q_err * eta * (1 - dcr) + dcr
         p_sig = eta + (1 - eta) * dcr
         q_sig = dcr
+
+    Elementwise on floats or equal-shape float64 arrays.
     """
-    eta, d = det.eta, det.dcr
-    return LevelIntermediates(
-        p_pos=params.P_act * eta * (1.0 - d) + d,
-        q_pos=params.Q_err * eta * (1.0 - d) + d,
-        p_sig=eta + (1.0 - eta) * d,
-        q_sig=d,
+    return (
+        P_act * eta * (1.0 - dcr) + dcr,
+        Q_err * eta * (1.0 - dcr) + dcr,
+        eta + (1.0 - eta) * dcr,
+        dcr,
     )
+
+
+def level_intermediates(
+    det: DetectorPerformance, params: ComponentParams
+) -> LevelIntermediates:
+    """Exact per-detector firing probabilities for the next level.
+
+    See :func:`firing_probs` for the formulas.
+    """
+    return LevelIntermediates(*firing_probs(det.eta, det.dcr, params.P_act, params.Q_err))
 
 
 def approx_intermediates(
@@ -226,6 +238,59 @@ def approx_intermediates(
     )
 
 
+# The level map proper.  Every helper below works elementwise on Python
+# floats or equal-shape float64 arrays with the same + - * operations in the
+# same order, so the scalar path and the batch kernel round identically.
+
+
+def _power_pair(x, n: int) -> tuple[list, list]:
+    return binomial.powers(x, n), binomial.powers(1.0 - x, n)
+
+
+def _loss_case(pp, py, qp, qy, q_sig, n: int, k: int, i: int):
+    # Auxiliaries 1..i fire with p_pos, the other n - i with q_pos; a firing
+    # (vacuum-fed) signal detector lowers the vote threshold by one.
+    row = binomial.pmf_row(i, pp, py)
+    table = binomial.tail_table(n - i, qp, qy)
+    return (1.0 - q_sig) * binomial.conv_tail_from(row, table, k) + (
+        q_sig * binomial.conv_tail_from(row, table, k - 1)
+    )
+
+
+def _survive_case(pp, py, p_sig, n: int, k: int):
+    table = binomial.tail_table(n, pp, py)
+    return p_sig * table[k - 1] + (1.0 - p_sig) * table[k]
+
+
+def _de(p_pos, q_pos, p_sig, q_sig, p: float, n: int, k: int):
+    pp, py = _power_pair(p_pos, n)
+    qp, qy = _power_pair(q_pos, n)
+    total = 0.0
+    pw = 1.0
+    for i in range(1, n + 1):
+        total = total + pw * (1.0 - p) * _loss_case(pp, py, qp, qy, q_sig, n, k, i)
+        pw = pw * p
+    return binomial.clamp1(total + pw * _survive_case(pp, py, p_sig, n, k))
+
+
+def _dcr(q_pos, q_sig, n: int, k: int):
+    table = binomial.tail_table(n, *_power_pair(q_pos, n))
+    return binomial.clamp1((1.0 - q_sig) * table[k] + q_sig * table[k - 1])
+
+
+def level_figures(p_pos, q_pos, p_sig, q_sig, p: float, n: int, k: int) -> tuple:
+    """Next-level ``(de, dcr)`` from the four firing probabilities.
+
+    The one implementation of the level map, shared by :func:`level_map`
+    and the batch kernel.  Takes Python floats (returns floats) or
+    equal-shape float64 arrays (returns arrays); both give bit-identical
+    values.  DE mixes the loss scenarios, survive-all with weight ``p**n``
+    and lost-after-module-i with weight ``p**(i-1) * (1-p)``; DCR is the
+    vacuum-input vote, where transmission plays no role.
+    """
+    return _de(p_pos, q_pos, p_sig, q_sig, p, n, k), _dcr(q_pos, q_sig, n, k)
+
+
 def de_loss_case(
     inter: LevelIntermediates, config: LevelConfig, i: int
 ) -> float:
@@ -240,9 +305,9 @@ def de_loss_case(
     n, k = config.n, config.k
     if i < 1 or i > n:
         raise ValueError(f"loss position i must be in [1, n], got i={i} with n={n}")
-    t_k = binomial.conv_tail(i, inter.p_pos, n - i, inter.q_pos, k)
-    t_k1 = binomial.conv_tail(i, inter.p_pos, n - i, inter.q_pos, k - 1)
-    return (1.0 - inter.q_sig) * t_k + inter.q_sig * t_k1
+    return _loss_case(
+        *_power_pair(inter.p_pos, n), *_power_pair(inter.q_pos, n), inter.q_sig, n, k, i
+    )
 
 
 def de_survive_case(inter: LevelIntermediates, config: LevelConfig) -> float:
@@ -252,10 +317,8 @@ def de_survive_case(inter: LevelIntermediates, config: LevelConfig) -> float:
     ``p_sig``; a firing signal detector lowers the auxiliary vote threshold
     by one.
     """
-    n, k = config.n, config.k
-    t_k = binomial.tail(n, inter.p_pos, k)
-    t_k1 = binomial.tail(n, inter.p_pos, k - 1)
-    return inter.p_sig * t_k1 + (1.0 - inter.p_sig) * t_k
+    n = config.n
+    return _survive_case(*_power_pair(inter.p_pos, n), inter.p_sig, n, config.k)
 
 
 def de_from_intermediates(
@@ -266,14 +329,7 @@ def de_from_intermediates(
     Mixture over loss scenarios: survive-all with weight ``p**n`` plus
     lost-after-module-i with weight ``p**(i-1) * (1-p)``.
     """
-    n = config.n
-    total = 0.0
-    pw = 1.0
-    for i in range(1, n + 1):
-        total += pw * (1.0 - p) * de_loss_case(inter, config, i)
-        pw *= p
-    total += pw * de_survive_case(inter, config)
-    return min(total, 1.0)
+    return _de(inter.p_pos, inter.q_pos, inter.p_sig, inter.q_sig, p, config.n, config.k)
 
 
 def dcr_from_intermediates(inter: LevelIntermediates, config: LevelConfig) -> float:
@@ -282,10 +338,7 @@ def dcr_from_intermediates(inter: LevelIntermediates, config: LevelConfig) -> fl
     Vacuum input: every auxiliary fires with ``q_pos``, the signal detector
     with ``q_sig``.  Transmission plays no role (nothing can be lost).
     """
-    n, k = config.n, config.k
-    t_k = binomial.tail(n, inter.q_pos, k)
-    t_k1 = binomial.tail(n, inter.q_pos, k - 1)
-    return min((1.0 - inter.q_sig) * t_k + inter.q_sig * t_k1, 1.0)
+    return _dcr(inter.q_pos, inter.q_sig, config.n, config.k)
 
 
 def level_de(
@@ -307,10 +360,10 @@ def level_map(
 ) -> DetectorPerformance:
     """One application of the enhancement map ``(eta, dcr) -> (eta', dcr')``."""
     inter = level_intermediates(det, params)
-    return DetectorPerformance(
-        eta=de_from_intermediates(inter, params.p, config),
-        dcr=dcr_from_intermediates(inter, config),
+    de, dcr = level_figures(
+        inter.p_pos, inter.q_pos, inter.p_sig, inter.q_sig, params.p, config.n, config.k
     )
+    return DetectorPerformance(eta=de, dcr=dcr)
 
 
 def iterate_schedule(

@@ -16,9 +16,9 @@ Two prunes keep the tree manageable without touching exactness:
   next-level dark count, iterated over the remaining depth) stop
   expanding.
 
-Every returned schedule is re-evaluated through the scalar
-:func:`espd.dynamics.iterate_schedule`, so the recorded final performance
-reproduces exactly under independent re-evaluation.
+The batch kernel runs the scalar level map's own code on arrays, so the
+final performance recorded for every returned schedule is bit-identical to
+re-evaluating it with :func:`espd.dynamics.iterate_schedule`.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ import numpy as np
 from . import _kernels
 from .dynamics import (
     ComponentParams,
-    ConvergenceRule,
     DetectorPerformance,
     LevelConfig,
     Schedule,
-    iterate_schedule,
+    iterate_schedule,  # noqa: F401 -- looked up here by perfbench/tracer.py
 )
 
 __all__ = [
@@ -48,15 +47,19 @@ __all__ = [
 
 MAX_SEARCH_LEVELS = 6
 MAX_SEARCH_N = 12
+# Relative margin of the dark-count floor; far above the few-ulp rounding
+# of the level map at n <= MAX_SEARCH_N.
+FLOOR_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
 class OptimizationQuery:
     """Target regime and search-space bounds for schedule search.
 
-    Targets outside [0, 1] are accepted and simply yield no (or all)
-    feasible schedules; a schedule qualifies when its final point satisfies
-    ``eta >= de_target`` and ``dcr <= dcr_target``.
+    Targets must be finite and >= 0; finite targets above 1 are accepted
+    and simply yield no (or all) feasible schedules.  A schedule qualifies
+    when its final point satisfies ``eta >= de_target`` and
+    ``dcr <= dcr_target``.
     """
 
     init: DetectorPerformance
@@ -79,8 +82,10 @@ class OptimizationQuery:
             raise ValueError(f"unknown k_rule {self.k_rule!r}")
         if self.cost_model != "product_cost":
             raise ValueError(f"unknown cost_model {self.cost_model!r}")
-        if self.de_target < 0.0 or self.dcr_target < 0.0:
-            raise ValueError("targets must be >= 0")
+        for name in ("de_target", "dcr_target"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -101,11 +106,14 @@ def _dcr_floor(d: np.ndarray, n_max: int, steps: int) -> np.ndarray:
     # next-level auxiliary fires with probability >= d (dark counts alone),
     # and the all-must-fire vote (n = k = n_max) is the most suppressive
     # config (the vote tail falls with k and rises with n), so
-    #     d' >= d**N * (1 + N * (1 - d)).
-    # The bound is monotone increasing in d, hence safe to iterate.
+    #     d' >= d**N * (1 + N * (1 - d)),
+    # with equality at n = k = N when q_pos == d (eta = 0 or Q_err = 0).  The
+    # floor is shrunk by FLOOR_SLACK so that rounding, in it or in the level
+    # map, cannot lift it above a dark count it equals mathematically.  The
+    # bound is monotone increasing in d, hence safe to iterate.
     f = d.copy()
     for _ in range(steps):
-        f = f**n_max * (1.0 + n_max * (1.0 - f))
+        f = f**n_max * (1.0 + n_max * (1.0 - f)) * (1.0 - FLOOR_SLACK)
     return f
 
 
@@ -114,8 +122,8 @@ def search_schedules(
 ) -> list[RankedSchedule]:
     """All (or the `top` cheapest) schedules meeting the query's targets.
 
-    Results are ordered by (cost asc, final dcr asc, final eta desc,
-    schedule encoding); the ordering is deterministic across runs and
+    Results are ordered by (cost asc, final dcr asc, final eta desc, levels
+    used, schedule encoding); the ordering is deterministic across runs and
     thread counts.  An empty list means no schedule qualifies.
     """
     if top is not None and top < 1:
@@ -180,55 +188,34 @@ def search_schedules(
     eta_flat = np.concatenate(cand_etas)
     d_flat = np.concatenate(cand_ds)
     len_flat = np.concatenate(cand_len)
+    # Rank by cost, dcr, -eta, length, then encoding: within one length the
+    # code sorts like the encoding, since configs are listed in (n, k) order.
     order = np.lexsort((code_flat, len_flat, -eta_flat, d_flat, cost_flat))
-
-    # Re-evaluate candidates through the canonical scalar path; take a
-    # slack margin in case a borderline candidate flips at the target.
-    want = feasible_total if top is None else min(top, feasible_total)
-    slack = feasible_total if top is None else min(4 * top, feasible_total)
-    results: list[RankedSchedule] = []
-    while True:
-        results.clear()
-        for idx in order[:slack]:
-            cfgs = _decode(int(code_flat[idx]), int(len_flat[idx]), configs)
-            schedule = Schedule(params, cfgs)
-            traj = iterate_schedule(
-                query.init,
-                schedule,
-                ConvergenceRule(max_levels=len(cfgs), eta_tol=0.0, dcr_tol=0.0),
-            )
-            final = traj.final()
-            if final.eta >= query.de_target and final.dcr <= query.dcr_target:
-                results.append(
-                    RankedSchedule(schedule, final, resource_cost(schedule), len(cfgs))
-                )
-        if len(results) >= want or slack >= feasible_total:
-            break
-        slack = min(2 * slack, feasible_total)
-
-    results.sort(key=_rank_key)
     if top is not None:
-        results = results[:top]
+        order = order[:top]
+    level_cfgs = [LevelConfig(n, k) for n, k in configs]
+    results = []
+    for idx in order:
+        cfgs = _decode(int(code_flat[idx]), int(len_flat[idx]), level_cfgs)
+        final = DetectorPerformance(float(eta_flat[idx]), float(d_flat[idx]))
+        results.append(
+            RankedSchedule(Schedule(params, cfgs), final, int(cost_flat[idx]), len(cfgs))
+        )
     return results
 
 
 def _decode(
-    code: int, length: int, configs: list[tuple[int, int]]
+    code: int, length: int, level_cfgs: list[LevelConfig]
 ) -> tuple[LevelConfig, ...]:
     out = []
     for lvl in range(length):
         ci = (code >> (8 * (length - 1 - lvl))) & 0xFF
-        n, k = configs[ci - 1]
-        out.append(LevelConfig(n, k))
+        out.append(level_cfgs[ci - 1])
     return tuple(out)
 
 
 def _encoding(r: RankedSchedule) -> tuple[tuple[int, int], ...]:
     return tuple((cfg.n, cfg.k) for cfg in r.schedule.levels)
-
-
-def _rank_key(r: RankedSchedule):
-    return (r.cost, r.final.dcr, -r.final.eta, r.levels_used, _encoding(r))
 
 
 def pareto_front(results: list[RankedSchedule]) -> list[RankedSchedule]:

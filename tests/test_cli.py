@@ -67,6 +67,12 @@ class TestIterate:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["iterate", str(tmp_path / "nope.json")]) == 2
 
+    def test_boolean_schedule_entry_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", schedule=[[True, True]])
+        assert main(["iterate", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "schedule[0]" in err
+
     def test_no_partial_file_on_failure(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", schedule=[])
         out = tmp_path / "traj.csv"
@@ -143,6 +149,17 @@ class TestOptimize:
             ["optimize", "--de-target", "0.9", "--dcr-target", "1e-3",
              "--max-levels", "2", "--n-max", "4", "--top", "-3"]
         ) == 2
+
+    @pytest.mark.parametrize("flag", ["--de-target", "--dcr-target"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_target_rejected(self, tmp_path, capsys, flag, value):
+        targets = {"--de-target": "0.9", "--dcr-target": "1e-3", flag: value}
+        # --flag=value, since argparse takes a bare "-inf" for an option
+        argv = ["optimize", *(f"{name}={val}" for name, val in targets.items()),
+                "--max-levels", "2", "--n-max", "4", "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "s.csv").exists()
 
     def test_pareto_flag_subsets_ranking(self, tmp_path):
         base = ["optimize", "--de-target", "0.9", "--dcr-target", "1e-3",
@@ -262,3 +279,8 @@ class TestFixedPoints:
         assert main(["fixedpoints", "--n", "4", "--k", "2"]) == 0
         out = capsys.readouterr().out
         assert "root=" in out
+
+    @pytest.mark.parametrize("n", ["65", "70", "10000"])
+    def test_n_above_cap_rejected(self, capsys, n):
+        assert main(["fixedpoints", "--n", n, "--k", "2", "--grid", "100"]) == 2
+        assert capsys.readouterr().err.startswith("error: n must be")

@@ -7,6 +7,8 @@ tail algebra in the package.
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,7 @@ from espd import (
     level_intermediates,
     level_map,
 )
+from espd import _kernels
 
 BASELINE = ComponentParams(p=0.98, P_act=0.97, Q_err=0.002)
 
@@ -105,6 +108,14 @@ class TestIntermediates:
             DetectorPerformance(1.5, 0.0)
         with pytest.raises(ValueError, match="Q_err"):
             ComponentParams(0.9, 0.9, -0.1)
+
+    @pytest.mark.parametrize(
+        "n,k", [(True, True), (4, True), (True, 1), (4.0, 2), (0, 1), (65, 1), (3, 4)]
+    )
+    def test_level_config_rejects_non_counts(self, n, k):
+        # bool is an int subclass; True must not pass as n = 1 or k = 1
+        with pytest.raises(ValueError):
+            LevelConfig(n, k)
 
     @given(det_eta=probs, det_d=probs, P=probs, Q=probs, p=probs)
     def test_q_pos_below_p_pos_when_q_below_p(self, det_eta, det_d, P, Q, p):
@@ -276,6 +287,76 @@ class TestLevelMap:
         perf = level_map(DetectorPerformance(0.59, 1e-2), params, LevelConfig(2, 1))
         assert perf.eta == pytest.approx(0.751, abs=1e-3)
         assert perf.dcr == pytest.approx(3.2e-2, rel=0.10)
+
+
+log_dcr = st.floats(min_value=-30.0, max_value=-1.0).map(lambda e: 10.0**e)
+
+
+class TestScalarBatchAgree:
+    """The batch kernel runs the scalar path's code, so values are identical."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bit_identical(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=12))
+        k = data.draw(st.integers(min_value=1, max_value=n))
+        params = ComponentParams(data.draw(probs), data.draw(probs), data.draw(probs))
+        etas = data.draw(st.lists(probs, min_size=1, max_size=8))
+        ds = [data.draw(log_dcr) for _ in etas]
+        e, d = _kernels.level_map_batch(
+            np.array(etas), np.array(ds), params.p, params.P_act, params.Q_err, n, k
+        )
+        for j, (eta, dcr) in enumerate(zip(etas, ds)):
+            perf = level_map(DetectorPerformance(eta, dcr), params, LevelConfig(n, k))
+            assert perf.eta == e[j] and perf.dcr == d[j]
+
+
+def mp_level(eta, d, params, n, ks):
+    """{k: (de, dcr)} of one level in 30-digit arithmetic from the same float inputs."""
+    mp = mpmath.mpf
+    with mpmath.workdps(30):
+        eta, d = mp(eta), mp(d)
+        p, P, Q = mp(params.p), mp(params.P_act), mp(params.Q_err)
+        p_pos, q_pos = P * eta * (1 - d) + d, Q * eta * (1 - d) + d
+        p_sig, q_sig = eta + (1 - eta) * d, d
+
+        def pmfs(m, x):
+            return [mpmath.binomial(m, j) * x**j * (1 - x) ** (m - j) for j in range(m + 1)]
+
+        def tails(m, x):
+            row, out = pmfs(m, x), [mp(0)] * (m + 2)
+            for j in range(m, -1, -1):
+                out[j] = out[j + 1] + row[j]
+            return out
+
+        def conv(row, table, t):
+            return sum(row[j] * table[min(max(t - j, 0), len(table) - 1)] for j in range(len(row)))
+
+        scenarios = [(p ** (i - 1) * (1 - p), pmfs(i, p_pos), tails(n - i, q_pos))
+                     for i in range(1, n + 1)]
+        surv, vac = tails(n, p_pos), tails(n, q_pos)
+        out = {}
+        for k in ks:
+            de = sum(w * ((1 - q_sig) * conv(row, table, k) + q_sig * conv(row, table, k - 1))
+                     for w, row, table in scenarios)
+            de += p**n * (p_sig * surv[k - 1] + (1 - p_sig) * surv[k])
+            out[k] = de, (1 - q_sig) * vac[k] + q_sig * vac[k - 1]
+        return out
+
+
+class TestHighPrecisionReference:
+    """Deep-level points: the float level map within 1e-13 of 30-digit values."""
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_relative_error(self, n):
+        ks = sorted({1, 2, n // 2, n // 2 + 1, n})
+        for d in (1e-30, 1e-20, 1e-10):
+            for eta in (0.59, 0.934):
+                ref = mp_level(eta, d, BASELINE, n, ks)
+                for k in ks:
+                    perf = level_map(DetectorPerformance(eta, d), BASELINE, LevelConfig(n, k))
+                    for got, want in zip((perf.eta, perf.dcr), ref[k]):
+                        assert abs(got - want) <= 1e-13 * abs(want), (n, k, d, eta, got, want)
 
 
 class TestIterateSchedule:

@@ -1,7 +1,9 @@
 """Schedule-search and Pareto-front tests."""
 
+import math
 from itertools import product
 
+import numpy as np
 import pytest
 
 from espd import (
@@ -17,6 +19,8 @@ from espd import (
     resource_cost,
     search_schedules,
 )
+from espd import _kernels
+from espd.optimize import MAX_SEARCH_N, _dcr_floor
 
 BASELINE = ComponentParams(p=0.98, P_act=0.97, Q_err=0.002)
 SEED = DetectorPerformance(0.59, 1e-2)
@@ -162,6 +166,53 @@ class TestSearchSchedules:
         query = OptimizationQuery(SEED, BASELINE, 0.9, 1e-6)
         with pytest.raises(ValueError, match="top"):
             search_schedules(query, top=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
+    def test_targets_must_be_finite_and_non_negative(self, bad):
+        with pytest.raises(ValueError, match="de_target"):
+            OptimizationQuery(SEED, BASELINE, bad, 1e-6)
+        with pytest.raises(ValueError, match="dcr_target"):
+            OptimizationQuery(SEED, BASELINE, 0.9, bad)
+
+
+class TestDcrFloor:
+    """The dark-count prune's floor never cuts a reachable schedule."""
+
+    # down to d**12 in the subnormal range, the bulk, and d within 1e-9..1e-3 of 1
+    D_GRID = np.concatenate([
+        [0.0], np.logspace(-30, 0, 61), np.linspace(0.05, 0.95, 19), 1.0 - np.logspace(-9, -3, 7),
+    ])
+
+    @pytest.mark.parametrize("n_max", range(1, MAX_SEARCH_N + 1))
+    def test_one_step_floor_below_exact_next_level(self, n_max):
+        floor = _dcr_floor(self.D_GRID, n_max, 1)
+        # eta = 0 and Q_err = 0 give q_pos == d, where the floor is tight
+        for params in (BASELINE, ComponentParams(0.5, 0.3, 0.0), ComponentParams(1.0, 1.0, 1.0)):
+            for eta in (0.0, 1e-300, 0.59, 1.0):
+                for n in range(1, n_max + 1):
+                    for k in range(1, n + 1):
+                        _, exact = _kernels.level_map_batch(
+                            np.full_like(self.D_GRID, eta), self.D_GRID,
+                            params.p, params.P_act, params.Q_err, n, k,
+                        )
+                        assert np.all(floor <= exact), (params, eta, n, k)
+
+    @pytest.mark.parametrize("n_max", range(1, 5))
+    def test_two_step_floor_below_every_two_level_schedule(self, n_max):
+        floor = _dcr_floor(self.D_GRID, n_max, 2)
+        configs = [(n, k) for n in range(1, n_max + 1) for k in range(1, n + 1)]
+        for params in (BASELINE, ComponentParams(0.5, 0.3, 0.0)):
+            for eta in (0.0, 0.59):
+                for n1, k1 in configs:
+                    e1, d1 = _kernels.level_map_batch(
+                        np.full_like(self.D_GRID, eta), self.D_GRID,
+                        params.p, params.P_act, params.Q_err, n1, k1,
+                    )
+                    for n2, k2 in configs:
+                        _, d2 = _kernels.level_map_batch(
+                            e1, d1, params.p, params.P_act, params.Q_err, n2, k2
+                        )
+                        assert np.all(floor <= d2), (params, eta, n1, k1, n2, k2)
 
 
 def _ranked(cfgs, eta, dcr):

@@ -14,7 +14,6 @@ from espd import (
     mc_level,
     oracle_report,
 )
-from espd import _kernels
 
 BASELINE = ComponentParams(p=0.98, P_act=0.97, Q_err=0.002)
 
@@ -109,39 +108,6 @@ class TestMonteCarlo:
             if abs(m_de - e_de) > band_de or abs(m_dcr - e_dcr) > band_dcr:
                 bad += 1
         assert bad == 0
-
-
-class TestKernelBackendsAgree:
-    """The numpy fallback and the numba kernels are interchangeable."""
-
-    @pytest.mark.skipif(
-        _kernels.level_map_batch_numba is None, reason="numba not available"
-    )
-    def test_mc_block_identical(self):
-        args = (12345, 10_000, 5, 2, 0.95, 0.6, 0.01, 0.59, 0.01)
-        assert _kernels.mc_block_numpy(*args) == _kernels.mc_block_numba(*args)
-
-    @pytest.mark.skipif(
-        _kernels.level_map_batch_numba is None, reason="numba not available"
-    )
-    def test_vote_mass_close(self):
-        rng = np.random.default_rng(3)
-        probs = rng.uniform(0, 1, 9)
-        a = _kernels.vote_mass_numpy(probs, 4)
-        b = _kernels.vote_mass_numba(probs, 4)
-        assert a == pytest.approx(b, abs=1e-14)
-
-    @pytest.mark.skipif(
-        _kernels.level_map_batch_numba is None, reason="numba not available"
-    )
-    def test_level_map_batch_close(self):
-        rng = np.random.default_rng(9)
-        etas = rng.uniform(0, 1, 500)
-        ds = rng.uniform(0, 1, 500)
-        e_np, d_np = _kernels.level_map_batch_numpy(etas, ds, 0.98, 0.97, 0.002, 6, 3)
-        e_nb, d_nb = _kernels.level_map_batch_numba(etas, ds, 0.98, 0.97, 0.002, 6, 3)
-        np.testing.assert_allclose(e_np, e_nb, atol=1e-13)
-        np.testing.assert_allclose(d_np, d_nb, atol=1e-13)
 
 
 class TestOracleReport:
