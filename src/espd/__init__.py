@@ -21,6 +21,7 @@ from .bounds import (
     find_fixed_points,
 )
 from .dynamics import (
+    MAX_LEVELS,
     N_MAX,
     ComponentParams,
     ConvergenceRule,
@@ -31,14 +32,10 @@ from .dynamics import (
     Trajectory,
     TrajectoryPoint,
     approx_intermediates,
-    dcr_from_intermediates,
-    de_from_intermediates,
     de_loss_case,
     de_survive_case,
     effective_transmission,
     iterate_schedule,
-    level_dcr,
-    level_de,
     level_intermediates,
     level_map,
 )
@@ -64,6 +61,7 @@ __all__ = [
     "__version__",
     "backend_name",
     "N_MAX",
+    "MAX_LEVELS",
     "ENUM_MAX_N",
     "DetectorPerformance",
     "ComponentParams",
@@ -77,10 +75,6 @@ __all__ = [
     "approx_intermediates",
     "de_loss_case",
     "de_survive_case",
-    "de_from_intermediates",
-    "dcr_from_intermediates",
-    "level_de",
-    "level_dcr",
     "level_map",
     "iterate_schedule",
     "effective_transmission",

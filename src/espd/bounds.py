@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from . import binomial
-from .dynamics import N_MAX
+from .dynamics import N_MAX, check_prob
 
 __all__ = [
     "PreconditionError",
@@ -50,14 +50,13 @@ class BoundInputs:
     x: float
 
     def __post_init__(self) -> None:
-        if self.a < 0.0:
-            raise ValueError(f"a must be >= 0, got {self.a!r}")
+        if not (math.isfinite(self.a) and self.a >= 0.0):
+            raise ValueError(f"a must be finite and >= 0, got {self.a!r}")
         if not isinstance(self.n, int) or not 1 <= self.n <= N_MAX:
             raise ValueError(f"n must be an integer in [1, {N_MAX}], got {self.n!r}")
         if not isinstance(self.k, int) or not 1 <= self.k <= self.n:
             raise ValueError(f"k must satisfy 1 <= k <= n, got k={self.k!r}, n={self.n!r}")
-        if not 0.0 <= self.x <= 1.0:
-            raise ValueError(f"x must be in [0, 1], got {self.x!r}")
+        check_prob("x", self.x)
 
 
 @dataclass(frozen=True)
@@ -86,10 +85,8 @@ def dcr_upper_bound(d_s: float, Q: float, n: int, k: int) -> float:
     ``k - 1 >= n * (Q + d_s)``; outside that region the bound is not
     established and a :class:`PreconditionError` is raised.
     """
-    if not 0.0 <= d_s <= 1.0:
-        raise ValueError(f"d_s must be in [0, 1], got {d_s!r}")
-    if not 0.0 <= Q <= 1.0:
-        raise ValueError(f"Q must be in [0, 1], got {Q!r}")
+    check_prob("d_s", d_s)
+    check_prob("Q", Q)
     x = Q + d_s
     if x > 1.0:
         raise ValueError(f"Q + d_s must be <= 1, got {x!r}")
@@ -121,12 +118,9 @@ def de_lower_bound(eta_s: float, p: float, P: float, n: int, k: int) -> float:
     substitutions shrink the exact survive term, but the overall expression
     is a bound on the exact map only up to those approximations.
     """
-    if not 0.0 <= eta_s <= 1.0:
-        raise ValueError(f"eta_s must be in [0, 1], got {eta_s!r}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p!r}")
-    if not 0.0 <= P <= 1.0:
-        raise ValueError(f"P must be in [0, 1], got {P!r}")
+    check_prob("eta_s", eta_s)
+    check_prob("p", p)
+    check_prob("P", P)
     return p**n * decision_poly(eta_s, n, k, P * eta_s)
 
 
@@ -136,12 +130,9 @@ def de_gain(x: float, p: float, P: float, n: int, k: int) -> float:
     Positive gain means constant-(n, k) iteration improves the efficiency at
     x; zeros are candidate steady states.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0, 1], got {x!r}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p!r}")
-    if not 0.0 <= P <= 1.0:
-        raise ValueError(f"P must be in [0, 1], got {P!r}")
+    check_prob("x", x)
+    check_prob("p", p)
+    check_prob("P", P)
     return p**n * decision_poly(x, n, k, P * x) - x
 
 

@@ -32,6 +32,7 @@ from .dynamics import (
     DetectorPerformance,
     LevelConfig,
     Schedule,
+    check_prob,
     iterate_schedule,
 )
 
@@ -81,22 +82,11 @@ def _binom_stderr(prob: float, trials: int) -> float:
     return (prob * (1.0 - prob) / trials) ** 0.5
 
 
-def _check_prob_field(name: str, value) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"{name} must be in [0, 1], got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class RunConfig:
     init: DetectorPerformance
-    params: ComponentParams
-    schedule: tuple[LevelConfig, ...]
-    max_levels: int
+    schedule: Schedule
+    rule: ConvergenceRule
     out: str | None
 
 
@@ -126,7 +116,7 @@ def _parse_run_config(path: Path, levels_override: int | None) -> RunConfig:
     for key in ("eta0", "d0", "p", "P", "Q"):
         if key not in data:
             raise ConfigError(f"{path}: missing key {key!r}")
-        values[key] = _check_prob_field(key, data[key])
+        values[key] = check_prob(key, data[key])
 
     raw_schedule = data.get("schedule")
     if not isinstance(raw_schedule, list) or len(raw_schedule) == 0:
@@ -149,8 +139,10 @@ def _parse_run_config(path: Path, levels_override: int | None) -> RunConfig:
     max_levels = data.get("max_levels", len(schedule))
     if levels_override is not None:
         max_levels = levels_override
-    if not isinstance(max_levels, int) or max_levels < 1:
-        raise ConfigError(f"{path}: max_levels must be a positive integer")
+    try:
+        rule = ConvergenceRule(max_levels=max_levels, eta_tol=0.0, dcr_tol=0.0)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
     out = data.get("out")
     if out is not None and not isinstance(out, str):
@@ -158,9 +150,10 @@ def _parse_run_config(path: Path, levels_override: int | None) -> RunConfig:
 
     return RunConfig(
         init=DetectorPerformance(values["eta0"], values["d0"]),
-        params=ComponentParams(values["p"], values["P"], values["Q"]),
-        schedule=tuple(schedule),
-        max_levels=max_levels,
+        schedule=Schedule(
+            ComponentParams(values["p"], values["P"], values["Q"]), tuple(schedule)
+        ),
+        rule=rule,
         out=out,
     )
 
@@ -182,12 +175,12 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 
 def _model_from_args(args) -> tuple[DetectorPerformance, ComponentParams]:
     init = DetectorPerformance(
-        _check_prob_field("eta0", args.eta0), _check_prob_field("d0", args.d0)
+        check_prob("eta0", args.eta0), check_prob("d0", args.d0)
     )
     params = ComponentParams(
-        _check_prob_field("p", args.p),
-        _check_prob_field("P", args.P_act),
-        _check_prob_field("Q", args.Q_err),
+        check_prob("p", args.p),
+        check_prob("P", args.P_act),
+        check_prob("Q", args.Q_err),
     )
     return init, params
 
@@ -207,14 +200,7 @@ def cmd_iterate(args) -> int:
     out_path = Path(args.out) if args.out else (
         Path(config.out) if config.out else _resolve_out(None, "trajectory.csv")
     )
-    try:
-        schedule = Schedule(config.params, config.schedule)
-        rule = ConvergenceRule(max_levels=config.max_levels, eta_tol=0.0, dcr_tol=0.0)
-        traj = iterate_schedule(config.init, schedule, rule)
-    except ValueError as exc:
-        _err(str(exc))
-        return 1
-
+    traj = iterate_schedule(config.init, config.schedule, config.rule)
     lines = ["level,n,k,de,dcr"]
     for pt in traj.points:
         n = str(pt.config.n) if pt.config else ""
@@ -363,7 +349,7 @@ def cmd_qkd(args) -> int:
     try:
         scn = qkd.QkdScenario(e_th=args.e_th, e_c=args.e_c, e=args.e)
         det = DetectorPerformance(
-            _check_prob_field("eta", args.eta), _check_prob_field("dcr", args.dcr)
+            check_prob("eta", args.eta), check_prob("dcr", args.dcr)
         )
         if det.eta <= 0.0:
             raise ConfigError("eta must be > 0")
@@ -412,8 +398,8 @@ def cmd_figdata(args) -> int:
 def cmd_fixedpoints(args) -> int:
     try:
         report = bounds.find_fixed_points(
-            _check_prob_field("p", args.p),
-            _check_prob_field("P", args.P_act),
+            check_prob("p", args.p),
+            check_prob("P", args.P_act),
             args.n,
             args.k,
             grid=args.grid,

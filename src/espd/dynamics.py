@@ -17,12 +17,15 @@ non-vacuum/vacuum gate input, ``p_sig``/``q_sig`` for the signal detector).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from . import binomial
 
 __all__ = [
     "N_MAX",
+    "MAX_LEVELS",
+    "check_prob",
     "DetectorPerformance",
     "ComponentParams",
     "LevelConfig",
@@ -37,10 +40,6 @@ __all__ = [
     "level_figures",
     "de_loss_case",
     "de_survive_case",
-    "de_from_intermediates",
-    "dcr_from_intermediates",
-    "level_de",
-    "level_dcr",
     "level_map",
     "iterate_schedule",
     "effective_transmission",
@@ -49,10 +48,21 @@ __all__ = [
 # Hard cap on controlled modules per level, shared by every entry point
 # (library, CLI, bounds); the level map costs O(n**2) operations per state.
 N_MAX = 64
+# Hard cap on iterated levels (library and CLI), so a run's work is bounded.
+MAX_LEVELS = 1000
 
 
-def _check_prob(name: str, value: float) -> float:
-    value = float(value)
+def check_prob(name: str, value) -> float:
+    """Return ``value`` as a float if it is a probability, else raise ValueError.
+
+    The one probability check of the package: rejects ``bool``, anything
+    that is not a real number, NaN and values outside [0, 1].
+    """
+    if type(value) is not float:
+        # bool is an int subclass, but True/False are not probabilities
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        value = float(value)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
     return value
@@ -66,8 +76,8 @@ class DetectorPerformance:
     dcr: float
 
     def __post_init__(self) -> None:
-        _check_prob("eta", self.eta)
-        _check_prob("dcr", self.dcr)
+        check_prob("eta", self.eta)
+        check_prob("dcr", self.dcr)
 
 
 @dataclass(frozen=True)
@@ -89,9 +99,9 @@ class ComponentParams:
     Q_err: float
 
     def __post_init__(self) -> None:
-        _check_prob("p", self.p)
-        _check_prob("P_act", self.P_act)
-        _check_prob("Q_err", self.Q_err)
+        check_prob("p", self.p)
+        check_prob("P_act", self.P_act)
+        check_prob("Q_err", self.Q_err)
 
 
 @dataclass(frozen=True)
@@ -141,10 +151,10 @@ class LevelIntermediates:
     q_sig: float
 
     def __post_init__(self) -> None:
-        _check_prob("p_pos", self.p_pos)
-        _check_prob("q_pos", self.q_pos)
-        _check_prob("p_sig", self.p_sig)
-        _check_prob("q_sig", self.q_sig)
+        check_prob("p_pos", self.p_pos)
+        check_prob("q_pos", self.q_pos)
+        check_prob("p_sig", self.p_sig)
+        check_prob("q_sig", self.q_sig)
 
 
 @dataclass(frozen=True)
@@ -183,8 +193,11 @@ class ConvergenceRule:
     dcr_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.max_levels < 1:
-            raise ValueError(f"max_levels must be >= 1, got {self.max_levels}")
+        m = self.max_levels
+        if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= MAX_LEVELS:
+            raise ValueError(
+                f"max_levels must be an integer in [1, {MAX_LEVELS}], got {m!r}"
+            )
         if self.eta_tol < 0.0 or self.dcr_tol < 0.0:
             raise ValueError("tolerances must be >= 0")
 
@@ -321,40 +334,6 @@ def de_survive_case(inter: LevelIntermediates, config: LevelConfig) -> float:
     return _survive_case(*_power_pair(inter.p_pos, n), inter.p_sig, n, config.k)
 
 
-def de_from_intermediates(
-    inter: LevelIntermediates, p: float, config: LevelConfig
-) -> float:
-    """Next-level efficiency from precomputed intermediates.
-
-    Mixture over loss scenarios: survive-all with weight ``p**n`` plus
-    lost-after-module-i with weight ``p**(i-1) * (1-p)``.
-    """
-    return _de(inter.p_pos, inter.q_pos, inter.p_sig, inter.q_sig, p, config.n, config.k)
-
-
-def dcr_from_intermediates(inter: LevelIntermediates, config: LevelConfig) -> float:
-    """Next-level dark-count rate from precomputed intermediates.
-
-    Vacuum input: every auxiliary fires with ``q_pos``, the signal detector
-    with ``q_sig``.  Transmission plays no role (nothing can be lost).
-    """
-    return _dcr(inter.q_pos, inter.q_sig, config.n, config.k)
-
-
-def level_de(
-    det: DetectorPerformance, params: ComponentParams, config: LevelConfig
-) -> float:
-    """Efficiency of the next level built on ``det`` with ``config``."""
-    return de_from_intermediates(level_intermediates(det, params), params.p, config)
-
-
-def level_dcr(
-    det: DetectorPerformance, params: ComponentParams, config: LevelConfig
-) -> float:
-    """Dark-count rate of the next level built on ``det`` with ``config``."""
-    return dcr_from_intermediates(level_intermediates(det, params), config)
-
-
 def level_map(
     det: DetectorPerformance, params: ComponentParams, config: LevelConfig
 ) -> DetectorPerformance:
@@ -401,7 +380,7 @@ def iterate_schedule(
 
 def effective_transmission(p: float, N: int) -> float:
     """Per-module transmission under a 1/N post-selection gate: ``p**N``."""
-    _check_prob("p", p)
+    check_prob("p", p)
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"N must be a positive integer, got {N!r}")
     return p**N

@@ -26,8 +26,7 @@ from .dynamics import (
     LevelConfig,
     LevelIntermediates,
     approx_intermediates,
-    dcr_from_intermediates,
-    de_from_intermediates,
+    level_figures,
     level_intermediates,
 )
 
@@ -514,10 +513,11 @@ def series_trajectory(
     rows = [det]
     for cfg in series.schedule:
         inter = inter_fn(det, series.params)
-        det = DetectorPerformance(
-            de_from_intermediates(inter, series.params.p, cfg),
-            dcr_from_intermediates(inter, cfg),
+        de, dcr = level_figures(
+            inter.p_pos, inter.q_pos, inter.p_sig, inter.q_sig,
+            series.params.p, cfg.n, cfg.k,
         )
+        det = DetectorPerformance(de, dcr)
         rows.append(det)
     return rows
 

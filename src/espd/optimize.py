@@ -68,8 +68,6 @@ class OptimizationQuery:
     dcr_target: float
     max_levels: int = 4
     n_max: int = 8
-    k_rule: str = "k_le_n"
-    cost_model: str = "product_cost"
 
     def __post_init__(self) -> None:
         if not 1 <= self.max_levels <= MAX_SEARCH_LEVELS:
@@ -78,10 +76,6 @@ class OptimizationQuery:
             )
         if not 1 <= self.n_max <= MAX_SEARCH_N:
             raise ValueError(f"n_max must be in [1, {MAX_SEARCH_N}], got {self.n_max}")
-        if self.k_rule not in ("free", "k_le_n"):
-            raise ValueError(f"unknown k_rule {self.k_rule!r}")
-        if self.cost_model != "product_cost":
-            raise ValueError(f"unknown cost_model {self.cost_model!r}")
         for name in ("de_target", "dcr_target"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
@@ -214,8 +208,9 @@ def _decode(
     return tuple(out)
 
 
-def _encoding(r: RankedSchedule) -> tuple[tuple[int, int], ...]:
-    return tuple((cfg.n, cfg.k) for cfg in r.schedule.levels)
+def _front_key(r: RankedSchedule) -> tuple:
+    encoding = tuple((cfg.n, cfg.k) for cfg in r.schedule.levels)
+    return (r.cost, -r.final.eta, r.final.dcr, encoding)
 
 
 def pareto_front(results: list[RankedSchedule]) -> list[RankedSchedule]:
@@ -224,26 +219,18 @@ def pareto_front(results: list[RankedSchedule]) -> list[RankedSchedule]:
     An element is dropped only if another is at least as good on all three
     axes and strictly better on one; ties on all axes keep both.  Output is
     sorted by (cost asc, eta desc, dcr asc, encoding).
+
+    A dominator sorts before what it dominates, and dominance is
+    transitive, so in sorted order each element needs comparing only with
+    the front kept so far, whose costs are all <= its own.
     """
-    front = []
-    for r in results:
-        dominated = False
-        for q in results:
-            if q is r:
-                continue
-            if (
-                q.cost <= r.cost
-                and q.final.eta >= r.final.eta
-                and q.final.dcr <= r.final.dcr
-                and (
-                    q.cost < r.cost
-                    or q.final.eta > r.final.eta
-                    or q.final.dcr < r.final.dcr
-                )
-            ):
-                dominated = True
-                break
-        if not dominated:
+    front: list[RankedSchedule] = []
+    kept: list[tuple[int, float, float]] = []
+    for r in sorted(results, key=_front_key):
+        c, e, d = r.cost, r.final.eta, r.final.dcr
+        if not any(
+            qe >= e and qd <= d and (qc < c or qe > e or qd < d) for qc, qe, qd in kept
+        ):
             front.append(r)
-    front.sort(key=lambda r: (r.cost, -r.final.eta, r.final.dcr, _encoding(r)))
+            kept.append((c, e, d))
     return front

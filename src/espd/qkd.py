@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynamics import DetectorPerformance
+from .dynamics import DetectorPerformance, check_prob
 
 __all__ = ["QkdScenario", "gamma_exact", "gamma_approx"]
 
@@ -35,8 +35,8 @@ class QkdScenario:
             raise ValueError(
                 f"require 0 <= e_c < e_th <= 0.5, got e_c={self.e_c!r}, e_th={self.e_th!r}"
             )
-        if self.e is not None and not 0.0 <= self.e <= 1.0:
-            raise ValueError(f"e must be in [0, 1], got {self.e!r}")
+        if self.e is not None:
+            check_prob("e", self.e)
 
     @property
     def effective_e(self) -> float:

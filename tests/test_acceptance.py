@@ -30,8 +30,6 @@ from espd import (
     find_fixed_points,
     gamma_approx,
     gamma_exact,
-    level_dcr,
-    level_de,
     level_intermediates,
     level_map,
     mc_level,
@@ -178,8 +176,8 @@ def test_criterion_04_enumeration_equivalence():
             det = DetectorPerformance(eta, d)
             params = ComponentParams(p, P, Q)
             cfg = LevelConfig(n, k)
-            de = level_de(det, params, cfg)
-            dcr = level_dcr(det, params, cfg)
+            perf = level_map(det, params, cfg)
+            de, dcr = perf.eta, perf.dcr
             e_de, e_dcr = enumerate_level(det, params, cfg)
             worst = max(worst, abs(de - e_de), abs(dcr - e_dcr))
         elapsed = time.perf_counter() - t0
@@ -243,10 +241,10 @@ def test_criterion_07_bound_suite():
             cfg = LevelConfig(n, k)
             inter = level_intermediates(det, params)
             survive_term = p**n * de_survive_case(inter, cfg)
-            assert survive_term <= level_de(det, params, cfg) + 1e-13
+            assert survive_term <= level_map(det, params, cfg).eta + 1e-13
             if Q + d <= 1.0 and k - 1 >= n * (Q + d):
                 bound = dcr_upper_bound(d, Q, n, k)
-                assert bound >= level_dcr(det, params, cfg) - 1e-15
+                assert bound >= level_map(det, params, cfg).dcr - 1e-15
                 bound_checked += 1
         assert bound_checked >= 100, "precondition region under-sampled"
 

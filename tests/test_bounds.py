@@ -16,8 +16,7 @@ from espd import (
     de_lower_bound,
     decision_poly,
     find_fixed_points,
-    level_dcr,
-    level_de,
+    level_map,
 )
 
 
@@ -28,6 +27,11 @@ class TestDecisionPoly:
 
     def test_zero_argument_threshold_one(self):
         assert decision_poly(0.7, 5, 1, 0.0) == 0.7
+
+    @pytest.mark.parametrize("a", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, a):
+        with pytest.raises(ValueError, match="a must be finite"):
+            decision_poly(a, 4, 2, 0.3)
 
     def test_monotone_on_grid(self):
         a, n, k = 0.5, 6, 3
@@ -84,9 +88,9 @@ class TestDcrUpperBound:
             if Q + d > 1 or k - 1 < n * (Q + d):
                 continue
             bound = dcr_upper_bound(d, Q, n, k)
-            exact = level_dcr(
+            exact = level_map(
                 DetectorPerformance(eta, d), ComponentParams(p, P, Q), LevelConfig(n, k)
-            )
+            ).dcr
             assert bound >= exact - 1e-15
             checked += 1
 
@@ -118,11 +122,11 @@ class TestDeLowerBound:
     def test_below_exact_de_across_dark_counts(self):
         lb = de_lower_bound(0.59, 0.98, 0.97, 4, 1)
         for d in np.linspace(0.0, 0.2, 21):
-            exact = level_de(
+            exact = level_map(
                 DetectorPerformance(0.59, float(d)),
                 ComponentParams(0.98, 0.97, 0.002),
                 LevelConfig(4, 1),
-            )
+            ).eta
             assert lb <= exact + 1e-13
 
 

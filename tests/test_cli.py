@@ -73,6 +73,22 @@ class TestIterate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "schedule[0]" in err
 
+    @pytest.mark.parametrize(
+        "field",
+        [{"eta0": "0.59"}, {"d0": True}, {"max_levels": True}, {"max_levels": 1001}],
+    )
+    def test_non_numeric_or_out_of_cap_field_rejected(self, tmp_path, capsys, field):
+        cfg = write_config(tmp_path / "cfg.json", **field)
+        assert main(["iterate", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and next(iter(field)) in err
+
+    def test_levels_flag_capped(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "t.csv"
+        assert main(["iterate", str(cfg), "--levels", "1001", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_no_partial_file_on_failure(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", schedule=[])
         out = tmp_path / "traj.csv"

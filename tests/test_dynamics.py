@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from espd import (
+    MAX_LEVELS,
     ComponentParams,
     ConvergenceRule,
     DetectorPerformance,
@@ -25,12 +26,10 @@ from espd import (
     de_survive_case,
     effective_transmission,
     iterate_schedule,
-    level_dcr,
-    level_de,
     level_intermediates,
     level_map,
 )
-from espd import _kernels
+from espd import _kernels, de_gain, decision_poly
 
 BASELINE = ComponentParams(p=0.98, P_act=0.97, Q_err=0.002)
 
@@ -108,6 +107,22 @@ class TestIntermediates:
             DetectorPerformance(1.5, 0.0)
         with pytest.raises(ValueError, match="Q_err"):
             ComponentParams(0.9, 0.9, -0.1)
+
+    @pytest.mark.parametrize("bad", ["0.5", True, None, math.nan, 1.5])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: DetectorPerformance(v, 0.1),
+            lambda v: DetectorPerformance(0.5, v),
+            lambda v: ComponentParams(0.9, v, 0.0),
+            lambda v: LevelIntermediates(0.5, 0.5, 0.5, v),
+            lambda v: decision_poly(0.5, 4, 2, v),
+            lambda v: de_gain(0.5, v, 0.9, 4, 2),
+        ],
+    )
+    def test_probability_fields_reject_non_probabilities(self, build, bad):
+        with pytest.raises(ValueError, match=r"must be (a number|in \[0, 1\])"):
+            build(bad)
 
     @pytest.mark.parametrize(
         "n,k", [(True, True), (4, True), (True, 1), (4.0, 2), (0, 1), (65, 1), (3, 4)]
@@ -198,30 +213,30 @@ class TestDeSurviveCase:
 
 class TestLevelDeDcr:
     def test_reference_point_first_seed(self):
-        de = level_de(DetectorPerformance(0.59, 1e-2), BASELINE, LevelConfig(4, 1))
+        de = level_map(DetectorPerformance(0.59, 1e-2), BASELINE, LevelConfig(4, 1)).eta
         assert de == pytest.approx(0.974, abs=1e-3)
 
     def test_reference_point_second_seed(self):
-        de = level_de(DetectorPerformance(0.275, 1e-6), BASELINE, LevelConfig(4, 1))
+        de = level_map(DetectorPerformance(0.275, 1e-6), BASELINE, LevelConfig(4, 1)).eta
         assert de == pytest.approx(0.769, abs=1e-3)
 
     def test_vacuum_seed(self):
-        assert level_de(DetectorPerformance(0, 0), BASELINE, LevelConfig(4, 2)) == 0.0
+        assert level_map(DetectorPerformance(0, 0), BASELINE, LevelConfig(4, 2)).eta == 0.0
 
     def test_reference_dcr(self):
-        dcr = level_dcr(DetectorPerformance(0.59, 1e-2), BASELINE, LevelConfig(4, 1))
+        dcr = level_map(DetectorPerformance(0.59, 1e-2), BASELINE, LevelConfig(4, 1)).dcr
         assert dcr == pytest.approx(5.3e-2, rel=0.10)
 
     def test_no_noise_sources(self):
         params = ComponentParams(0.98, 0.97, 0.0)
-        assert level_dcr(DetectorPerformance(0.9, 0.0), params, LevelConfig(6, 2)) == 0.0
+        assert level_map(DetectorPerformance(0.9, 0.0), params, LevelConfig(6, 2)).dcr == 0.0
 
     def test_dcr_matches_brute_force(self):
         det = DetectorPerformance(0.9, 1e-3)
         params = ComponentParams(0.98, 0.97, 0.01)
         cfg = LevelConfig(5, 3)
         _, expected = brute_level(det, params, cfg)
-        assert level_dcr(det, params, cfg) == pytest.approx(expected, abs=1e-12)
+        assert level_map(det, params, cfg).dcr == pytest.approx(expected, abs=1e-12)
 
     @given(model_draws())
     @settings(max_examples=150)
@@ -238,8 +253,9 @@ class TestLevelDeDcr:
         if cfg.k == cfg.n:
             return
         tighter = LevelConfig(cfg.n, cfg.k + 1)
-        assert level_de(det, params, tighter) <= level_de(det, params, cfg) + 1e-12
-        assert level_dcr(det, params, tighter) <= level_dcr(det, params, cfg) + 1e-12
+        tight, loose = level_map(det, params, tighter), level_map(det, params, cfg)
+        assert tight.eta <= loose.eta + 1e-12
+        assert tight.dcr <= loose.dcr + 1e-12
 
     @given(model_draws())
     @settings(max_examples=100)
@@ -247,7 +263,7 @@ class TestLevelDeDcr:
         det, params, cfg = draw
         inter = level_intermediates(det, params)
         lower = params.p**cfg.n * de_survive_case(inter, cfg)
-        assert lower <= level_de(det, params, cfg) + 1e-13
+        assert lower <= level_map(det, params, cfg).eta + 1e-13
 
     @given(model_draws())
     @settings(max_examples=100)
@@ -266,7 +282,7 @@ class TestLevelDeDcr:
             * (1 - q) ** (n - k + 1)
             + tail
         )
-        assert level_dcr(det, params, cfg) == pytest.approx(reform, abs=1e-13)
+        assert level_map(det, params, cfg).dcr == pytest.approx(reform, abs=1e-13)
 
 
 class TestLevelMap:
@@ -377,6 +393,12 @@ class TestIterateSchedule:
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError, match="at least one level"):
             Schedule(BASELINE, ())
+
+    @pytest.mark.parametrize("bad", [0, MAX_LEVELS + 1, True, 2.0, "3"])
+    def test_level_cap_and_type_enforced(self, bad):
+        with pytest.raises(ValueError, match="max_levels"):
+            ConvergenceRule(max_levels=bad)
+        assert ConvergenceRule(max_levels=MAX_LEVELS).max_levels == MAX_LEVELS
 
     def test_constant_schedule_matches_repeated_map(self):
         cfg = LevelConfig(5, 2)

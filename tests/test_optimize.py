@@ -161,8 +161,6 @@ class TestSearchSchedules:
             OptimizationQuery(SEED, BASELINE, 0.9, 1e-6, max_levels=7, n_max=8)
         with pytest.raises(ValueError, match="n_max"):
             OptimizationQuery(SEED, BASELINE, 0.9, 1e-6, max_levels=4, n_max=13)
-        with pytest.raises(ValueError, match="k_rule"):
-            OptimizationQuery(SEED, BASELINE, 0.9, 1e-6, k_rule="whatever")
         query = OptimizationQuery(SEED, BASELINE, 0.9, 1e-6)
         with pytest.raises(ValueError, match="top"):
             search_schedules(query, top=0)
@@ -222,6 +220,15 @@ def _ranked(cfgs, eta, dcr):
     )
 
 
+def _dominates(a, b):
+    return (
+        a.cost <= b.cost
+        and a.final.eta >= b.final.eta
+        and a.final.dcr <= b.final.dcr
+        and (a.cost < b.cost or a.final.eta > b.final.eta or a.final.dcr < b.final.dcr)
+    )
+
+
 class TestParetoFront:
     def test_singleton(self):
         r = _ranked([(4, 1)], 0.9, 1e-3)
@@ -252,19 +259,29 @@ class TestParetoFront:
         front = pareto_front(pool)
         for a in front:
             for b in front:
-                if a is b:
-                    continue
-                dominates = (
-                    a.cost <= b.cost
-                    and a.final.eta >= b.final.eta
-                    and a.final.dcr <= b.final.dcr
-                    and (
-                        a.cost < b.cost
-                        or a.final.eta > b.final.eta
-                        or a.final.dcr < b.final.dcr
-                    )
-                )
-                assert not dominates
+                if a is not b:
+                    assert not _dominates(a, b)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_brute_force_definition(self, seed):
+        # Few distinct values per axis, so the pools hold ties on every
+        # axis, all-axes ties and repeated schedules.
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+        pool = [
+            _ranked(
+                [(int(rng.integers(1, 4)), 1)] * int(rng.integers(1, 3)),
+                float(rng.choice([0.5, 0.7, 0.9])),
+                float(rng.choice([1e-4, 1e-3, 1e-2])),
+            )
+            for _ in range(int(rng.integers(1, 60)))
+        ]
+        expected = sorted(
+            (r for r in pool if not any(_dominates(q, r) for q in pool)),
+            key=lambda r: (r.cost, -r.final.eta, r.final.dcr, _encode(r)),
+        )
+        assert [id(r) for r in pareto_front(pool)] == [id(r) for r in expected]
 
     def test_reference_three_level_prefixes(self):
         # Three known schedules truncated at level 3 all reach the same

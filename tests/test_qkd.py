@@ -92,6 +92,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="e must"):
             QkdScenario(e_th=0.11, e_c=0.02, e=1.5)
 
+    # None is not in the list: it selects the default e = e_th
+    @pytest.mark.parametrize("bad", ["0.5", True, float("nan")])
+    def test_e_must_be_a_probability(self, bad):
+        with pytest.raises(ValueError, match="e must"):
+            QkdScenario(e_th=0.11, e_c=0.02, e=bad)
+
     def test_default_e_is_threshold(self):
         assert QkdScenario(e_th=0.11, e_c=0.02).effective_e == 0.11
         assert QkdScenario(e_th=0.11, e_c=0.02, e=0.3).effective_e == 0.3
