@@ -8,7 +8,8 @@ detection-cost budget, and evaluates the resulting QKD transmission
 threshold.
 """
 
-from ._kernels import backend_name
+import importlib
+
 from .bounds import (
     BoundInputs,
     FixedPointReport,
@@ -39,21 +40,39 @@ from .dynamics import (
     level_intermediates,
     level_map,
 )
-from .optimize import (
-    OptimizationQuery,
-    RankedSchedule,
-    pareto_front,
-    resource_cost,
-    search_schedules,
-)
-from .oracle import (
-    ENUM_MAX_N,
-    OracleReport,
-    enumerate_level,
-    mc_level,
-    oracle_report,
-)
 from .qkd import QkdScenario, gamma_approx, gamma_exact
+
+# Public names of the modules that load numpy, imported on first access
+# (PEP 562) so that ``import espd`` and the array-free commands stay
+# numpy-free.  Name -> submodule.
+_LAZY = {
+    "backend_name": "_kernels",
+    "OptimizationQuery": "optimize",
+    "RankedSchedule": "optimize",
+    "pareto_front": "optimize",
+    "resource_cost": "optimize",
+    "search_schedules": "optimize",
+    "ENUM_MAX_N": "oracle",
+    "OracleReport": "oracle",
+    "enumerate_level": "oracle",
+    "mc_level": "oracle",
+    "oracle_report": "oracle",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY.values():  # the submodule itself, e.g. ``espd.optimize``
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY.values()})
+
 
 __version__ = "0.1.0"
 

@@ -16,11 +16,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import numpy as np
-
 __all__ = [
     "powers",
     "pmf_row",
+    "pmf_at",
     "tail_table",
     "conv_tail_from",
     "clamp1",
@@ -32,6 +31,12 @@ __all__ = [
 
 def clamp1(v):
     """``min(v, 1)`` for a float or, elementwise, an ndarray."""
+    if isinstance(v, float):
+        return min(v, 1.0)
+    # an ndarray argument means numpy is loaded already; importing it here
+    # keeps the scalar path free of it
+    import numpy as np
+
     return np.minimum(v, 1.0) if isinstance(v, np.ndarray) else min(v, 1.0)
 
 
@@ -56,6 +61,11 @@ def pmf_row(n: int, xp: list, yp: list) -> list:
     """
     c = _comb_row(n)
     return [c[j] * xp[j] * yp[n - j] for j in range(n + 1)]
+
+
+def pmf_at(n: int, xp: list, yp: list, j: int):
+    """``pmf_row(n, xp, yp)[j]`` alone, for ``0 <= j <= n``."""
+    return _comb_row(n)[j] * xp[j] * yp[n - j]
 
 
 def tail_table(n: int, xp: list, yp: list) -> list:
@@ -94,8 +104,8 @@ def pmf(n: int, x: float, j: int) -> float:
     """P[Binomial(n, x) == j]."""
     if j < 0 or j > n:
         return 0.0
-    # the pmf_row term, with powers only as high as this term needs
-    return _comb_row(n)[j] * powers(x, j)[j] * powers(1.0 - x, n - j)[n - j]
+    # powers only as high as this term needs
+    return pmf_at(n, powers(x, j), powers(1.0 - x, n - j), j)
 
 
 def tail(n: int, x: float, m: int) -> float:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from . import binomial
-from .dynamics import N_MAX, check_prob
+from .dynamics import N_MAX, check_number, check_prob
 
 __all__ = [
     "PreconditionError",
@@ -34,6 +34,9 @@ __all__ = [
 
 ROOT_GAIN_TOL = 1e-10
 ROOT_DEDUP_TOL = 1e-9
+# Largest fixed-point scan grid (library and CLI); the scan costs one gain
+# evaluation and two list entries per grid point.
+GRID_MAX = 1_000_000
 
 
 class PreconditionError(ValueError):
@@ -50,8 +53,8 @@ class BoundInputs:
     x: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and self.a >= 0.0):
-            raise ValueError(f"a must be finite and >= 0, got {self.a!r}")
+        if check_number("a", self.a) < 0.0:
+            raise ValueError(f"a must be >= 0, got {self.a!r}")
         if not isinstance(self.n, int) or not 1 <= self.n <= N_MAX:
             raise ValueError(f"n must be an integer in [1, {N_MAX}], got {self.n!r}")
         if not isinstance(self.k, int) or not 1 <= self.k <= self.n:
@@ -75,7 +78,10 @@ class FixedPointReport:
 def decision_poly(a: float, n: int, k: int, x: float) -> float:
     """Evaluate the decision polynomial f(x) defined above."""
     BoundInputs(a, n, k, x)
-    return a * binomial.pmf(n, x, k - 1) + binomial.tail(n, x, k)
+    # one pair of power lists serves both terms
+    xp, yp = binomial.powers(x, n), binomial.powers(1.0 - x, n)
+    tail = binomial.clamp1(binomial.tail_table(n, xp, yp)[k])
+    return a * binomial.pmf_at(n, xp, yp, k - 1) + tail
 
 
 def dcr_upper_bound(d_s: float, Q: float, n: int, k: int) -> float:
@@ -146,8 +152,8 @@ def find_fixed_points(
     points.  The positive-gain interval is reported at grid resolution.
     An empty root tuple is a valid outcome.
     """
-    if grid < 100:
-        raise ValueError(f"grid must be >= 100, got {grid}")
+    if not isinstance(grid, int) or not 100 <= grid <= GRID_MAX:
+        raise ValueError(f"grid must be an integer in [100, {GRID_MAX}], got {grid!r}")
 
     def gain(x: float) -> float:
         return de_gain(x, p, P, n, k)

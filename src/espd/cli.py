@@ -25,7 +25,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import bounds, golden, optimize, oracle, qkd
+from . import bounds, golden, qkd
 from .dynamics import (
     ComponentParams,
     ConvergenceRule,
@@ -259,6 +259,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from . import optimize  # loads numpy, which the other commands never need
+
     try:
         init, params = _model_from_args(args)
         if args.top < 0:
@@ -296,6 +298,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle  # loads numpy, which the other commands never need
+
     try:
         init, params = _model_from_args(args)
         if args.n > oracle.ENUM_MAX_N:

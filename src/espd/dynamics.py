@@ -17,6 +17,7 @@ non-vacuum/vacuum gate input, ``p_sig``/``q_sig`` for the signal detector).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ from . import binomial
 __all__ = [
     "N_MAX",
     "MAX_LEVELS",
+    "check_number",
     "check_prob",
     "DetectorPerformance",
     "ComponentParams",
@@ -52,17 +54,35 @@ N_MAX = 64
 MAX_LEVELS = 1000
 
 
+def check_number(name: str, value) -> float:
+    """Return ``value`` as a float if it is a finite real number, else raise ValueError.
+
+    The one real-number check of the package: rejects ``bool``, anything
+    that is not a real number (strings included), NaN and infinities.
+    """
+    if type(value) is not float:
+        # bool is an int subclass, but True/False are not numbers here
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(
+                f"{name} must be finite, got an integer beyond the float range"
+            ) from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def check_prob(name: str, value) -> float:
     """Return ``value`` as a float if it is a probability, else raise ValueError.
 
-    The one probability check of the package: rejects ``bool``, anything
-    that is not a real number, NaN and values outside [0, 1].
+    The one probability check of the package: :func:`check_number`, then
+    values outside [0, 1] (NaN included) are rejected.
     """
     if type(value) is not float:
-        # bool is an int subclass, but True/False are not probabilities
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a number, got {value!r}")
-        value = float(value)
+        value = check_number(name, value)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
     return value
@@ -198,8 +218,10 @@ class ConvergenceRule:
             raise ValueError(
                 f"max_levels must be an integer in [1, {MAX_LEVELS}], got {m!r}"
             )
-        if self.eta_tol < 0.0 or self.dcr_tol < 0.0:
-            raise ValueError("tolerances must be >= 0")
+        # a NaN tolerance compares false and would silently disable early stopping
+        for name in ("eta_tol", "dcr_tol"):
+            if check_number(name, getattr(self, name)) < 0.0:
+                raise ValueError("tolerances must be >= 0")
 
 
 def firing_probs(eta, dcr, P_act: float, Q_err: float) -> tuple:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynamics import DetectorPerformance, check_prob
+from .dynamics import DetectorPerformance, check_number, check_prob
 
 __all__ = ["QkdScenario", "gamma_exact", "gamma_approx"]
 
@@ -30,6 +30,8 @@ class QkdScenario:
     e: float | None = None
 
     def __post_init__(self) -> None:
+        check_number("e_th", self.e_th)
+        check_number("e_c", self.e_c)
         # e_th == 0.5 is allowed as the degenerate boundary (gamma = 0).
         if not 0.0 <= self.e_c < self.e_th <= 0.5:
             raise ValueError(

@@ -18,6 +18,7 @@ from espd import (
     find_fixed_points,
     level_map,
 )
+from espd.bounds import GRID_MAX
 
 
 class TestDecisionPoly:
@@ -31,6 +32,11 @@ class TestDecisionPoly:
     @pytest.mark.parametrize("a", [float("nan"), float("inf")])
     def test_non_finite_weight_rejected(self, a):
         with pytest.raises(ValueError, match="a must be finite"):
+            decision_poly(a, 4, 2, 0.3)
+
+    @pytest.mark.parametrize("a", ["1", True, None, 1j])
+    def test_non_numeric_weight_rejected(self, a):
+        with pytest.raises(ValueError, match="a must be a number"):
             decision_poly(a, 4, 2, 0.3)
 
     def test_monotone_on_grid(self):
@@ -170,3 +176,7 @@ class TestFindFixedPoints:
     def test_grid_validated(self):
         with pytest.raises(ValueError, match="grid"):
             find_fixed_points(0.9, 0.9, 4, 2, grid=50)
+        # the scan's work is bounded: one gain evaluation per grid point
+        for bad in (GRID_MAX + 1, 150.5):
+            with pytest.raises(ValueError, match="grid"):
+                find_fixed_points(0.9, 0.9, 4, 2, grid=bad)

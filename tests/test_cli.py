@@ -75,7 +75,14 @@ class TestIterate:
 
     @pytest.mark.parametrize(
         "field",
-        [{"eta0": "0.59"}, {"d0": True}, {"max_levels": True}, {"max_levels": 1001}],
+        [
+            {"eta0": "0.59"},
+            {"d0": True},
+            {"max_levels": True},
+            {"max_levels": 1001},
+            {"eta_tol": float("nan")},
+            {"eta0": 10**400},
+        ],
     )
     def test_non_numeric_or_out_of_cap_field_rejected(self, tmp_path, capsys, field):
         cfg = write_config(tmp_path / "cfg.json", **field)
@@ -300,3 +307,7 @@ class TestFixedPoints:
     def test_n_above_cap_rejected(self, capsys, n):
         assert main(["fixedpoints", "--n", n, "--k", "2", "--grid", "100"]) == 2
         assert capsys.readouterr().err.startswith("error: n must be")
+
+    def test_grid_above_cap_rejected(self, capsys):
+        assert main(["fixedpoints", "--n", "4", "--k", "2", "--grid", "100000000"]) == 2
+        assert capsys.readouterr().err.startswith("error: grid must be")

@@ -400,6 +400,13 @@ class TestIterateSchedule:
             ConvergenceRule(max_levels=bad)
         assert ConvergenceRule(max_levels=MAX_LEVELS).max_levels == MAX_LEVELS
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 10**400, -1.0, True, "0.1", None])
+    @pytest.mark.parametrize("field", ["eta_tol", "dcr_tol"])
+    def test_tolerances_must_be_finite_non_negative(self, field, bad):
+        # a NaN tolerance would compare false and silently disable early stopping
+        with pytest.raises(ValueError, match="tol"):
+            ConvergenceRule(**{field: bad})
+
     def test_constant_schedule_matches_repeated_map(self):
         cfg = LevelConfig(5, 2)
         sched = Schedule(BASELINE, (cfg,))

@@ -92,6 +92,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="e must"):
             QkdScenario(e_th=0.11, e_c=0.02, e=1.5)
 
+    @pytest.mark.parametrize("bad", ["0.1", True, None, 1j])
+    @pytest.mark.parametrize("field", ["e_th", "e_c"])
+    def test_thresholds_must_be_numbers(self, field, bad):
+        values = {"e_th": 0.11, "e_c": 0.02, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            QkdScenario(**values)
+
     # None is not in the list: it selects the default e = e_th
     @pytest.mark.parametrize("bad", ["0.5", True, float("nan")])
     def test_e_must_be_a_probability(self, bad):

@@ -1,0 +1,100 @@
+"""Start-up guard: numpy loads only for the commands that compute on arrays.
+
+numpy takes about half of a fresh interpreter's start-up, and only
+``optimize`` and ``oracle`` use arrays.  Each check runs in a fresh
+interpreter, because numpy stays in ``sys.modules`` once anything in the
+test session has imported it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs one command through espd.cli.main, then reports its exit code and
+# whether numpy was imported.
+_CLI = """
+import json, sys
+import espd.cli
+rc = espd.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([rc, "numpy" in sys.modules]))
+"""
+
+
+def _python(code: str, *args: str, cwd: Path) -> str:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import espd",
+        "import espd.cli",
+        # what ``python -m espd --help`` runs, with sys.modules left to inspect
+        "import runpy; sys.argv = ['espd', '--help']\n"
+        "try:\n    runpy.run_module('espd', run_name='__main__')\n"
+        "except SystemExit:\n    pass",
+    ],
+    ids=["import-espd", "import-espd-cli", "help"],
+)
+def test_import_and_help_leave_numpy_unloaded(tmp_path, statement):
+    out = _python(f"import sys\n{statement}\nprint('numpy' in sys.modules)", cwd=tmp_path)
+    assert out == "False"
+
+
+RUN_JSON = {
+    "eta0": 0.59, "d0": 0.01, "p": 0.98, "P": 0.97, "Q": 0.002,
+    "schedule": [[4, 1], [4, 2]],
+}
+
+
+@pytest.mark.parametrize(
+    "argv,rc,loads_numpy",
+    [
+        # table 3 carries a published misprint, so it exits 1
+        (["tables", "--table", "3", "--out", "t3.csv"], 1, False),
+        (["figdata", "--figure", "2", "--out-dir", "fig"], 0, False),
+        (["fixedpoints", "--n", "4", "--k", "2"], 0, False),
+        (["qkd", "--e-th", "0.11", "--e-c", "0.02", "--eta", "0.934", "--dcr", "8.5e-10"],
+         0, False),
+        (["iterate", "run.json", "--out", "traj.csv"], 0, False),
+        (["optimize", "--de-target", "0.9", "--dcr-target", "1e-3", "--max-levels", "1",
+          "--n-max", "4", "--out", "s.csv"], 0, True),
+        (["oracle", "--n", "3", "--k", "2", "--trials", "1000"], 0, True),
+    ],
+    ids=["tables", "figdata", "fixedpoints", "qkd", "iterate", "optimize", "oracle"],
+)
+def test_only_array_commands_load_numpy(tmp_path, argv, rc, loads_numpy):
+    (tmp_path / "run.json").write_text(json.dumps(RUN_JSON), encoding="utf-8")
+    out = _python(_CLI, json.dumps(argv), cwd=tmp_path)
+    assert json.loads(out) == [rc, loads_numpy]
+
+
+def test_every_public_name_resolves_and_is_listed(tmp_path):
+    code = """
+import json, sys
+import espd
+listed = dir(espd)
+unlisted = [n for n in espd.__all__ if n not in listed]
+missing = [n for n in espd.__all__ if not hasattr(espd, n)]
+namespace = {}
+exec("from espd import *", namespace)
+unstarred = [n for n in espd.__all__ if n not in namespace]
+print(json.dumps([unlisted, missing, unstarred, type(espd.optimize).__name__]))
+"""
+    assert json.loads(_python(code, cwd=tmp_path)) == [[], [], [], "module"]
