@@ -3,9 +3,10 @@
 Three kernels carry the bulk work:
 
 * ``level_map_batch`` -- the enhancement map applied to a whole array of
-  ``(eta, dcr)`` states at once (the schedule search expands each frontier
-  through it); it runs the scalar path's own code on arrays, so batch and
-  scalar values are bit-identical;
+  ``(eta, dcr)`` states at once, for every vote threshold of one ``n`` (the
+  schedule search expands each frontier through it once per ``n``); it
+  runs the scalar path's own code on arrays, so batch and scalar values
+  are bit-identical;
 * ``vote_mass``       -- exact enumeration of all ``2**m`` detector-outcome
   vectors for the k-of-m vote (verification oracle);
 * ``mc_block``        -- one block of Monte Carlo trials on a counter-based
@@ -63,12 +64,16 @@ def level_map_batch(
     P: float,
     Q: float,
     n: int,
-    k: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The enhancement map over equal-shape arrays of (eta, d) states."""
+    ks,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The enhancement map over equal-shape arrays of (eta, d) states.
+
+    One ``(de, dcr)`` pair of arrays per vote threshold in ``ks``, in
+    order, from one pass of :func:`espd.dynamics.level_figures`.
+    """
     eta = np.asarray(eta, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
-    return dynamics.level_figures(*dynamics.firing_probs(eta, d, P, Q), p, n, k)
+    return dynamics.level_figures(*dynamics.firing_probs(eta, d, P, Q), p, n, ks)
 
 
 @lru_cache(maxsize=None)

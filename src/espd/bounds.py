@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from . import binomial
-from .dynamics import N_MAX, check_number, check_prob
+from .dynamics import N_MAX, check_int, check_number, check_prob
 
 __all__ = [
     "PreconditionError",
@@ -55,10 +55,8 @@ class BoundInputs:
     def __post_init__(self) -> None:
         if check_number("a", self.a) < 0.0:
             raise ValueError(f"a must be >= 0, got {self.a!r}")
-        if not isinstance(self.n, int) or not 1 <= self.n <= N_MAX:
-            raise ValueError(f"n must be an integer in [1, {N_MAX}], got {self.n!r}")
-        if not isinstance(self.k, int) or not 1 <= self.k <= self.n:
-            raise ValueError(f"k must satisfy 1 <= k <= n, got k={self.k!r}, n={self.n!r}")
+        check_int("n", self.n, 1, N_MAX)
+        check_int("k", self.k, 1, self.n)
         check_prob("x", self.x)
 
 
@@ -152,8 +150,7 @@ def find_fixed_points(
     points.  The positive-gain interval is reported at grid resolution.
     An empty root tuple is a valid outcome.
     """
-    if not isinstance(grid, int) or not 100 <= grid <= GRID_MAX:
-        raise ValueError(f"grid must be an integer in [100, {GRID_MAX}], got {grid!r}")
+    check_int("grid", grid, 100, GRID_MAX)
 
     def gain(x: float) -> float:
         return de_gain(x, p, P, n, k)

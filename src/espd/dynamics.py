@@ -27,6 +27,7 @@ __all__ = [
     "N_MAX",
     "MAX_LEVELS",
     "check_number",
+    "check_int",
     "check_prob",
     "DetectorPerformance",
     "ComponentParams",
@@ -72,6 +73,25 @@ def check_number(name: str, value) -> float:
             ) from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def check_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """Return ``value`` if it is an int in ``[lo, hi]``, else raise ValueError.
+
+    The one integer check of the package: rejects ``bool`` and every
+    non-int (``2.0`` and ``"3"`` included).  ``hi=None`` leaves the range
+    open above.
+    """
+    # bool is an int subclass, but True/False are not counts
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < lo
+        or (hi is not None and value > hi)
+    ):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
     return value
 
 
@@ -132,13 +152,8 @@ class LevelConfig:
     k: int
 
     def __post_init__(self) -> None:
-        # bool is an int subclass, but True/False are not module counts
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.n, self.k)):
-            raise ValueError(f"n and k must be integers, got n={self.n!r}, k={self.k!r}")
-        if self.n < 1 or self.n > N_MAX:
-            raise ValueError(f"n must be in [1, {N_MAX}], got {self.n}")
-        if self.k < 1 or self.k > self.n:
-            raise ValueError(f"k must be in [1, n], got k={self.k} with n={self.n}")
+        check_int("n", self.n, 1, N_MAX)
+        check_int("k", self.k, 1, self.n)
 
 
 @dataclass(frozen=True)
@@ -213,11 +228,7 @@ class ConvergenceRule:
     dcr_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        m = self.max_levels
-        if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= MAX_LEVELS:
-            raise ValueError(
-                f"max_levels must be an integer in [1, {MAX_LEVELS}], got {m!r}"
-            )
+        check_int("max_levels", self.max_levels, 1, MAX_LEVELS)
         # a NaN tolerance compares false and would silently disable early stopping
         for name in ("eta_tol", "dcr_tol"):
             if check_number(name, getattr(self, name)) < 0.0:
@@ -282,48 +293,55 @@ def _power_pair(x, n: int) -> tuple[list, list]:
     return binomial.powers(x, n), binomial.powers(1.0 - x, n)
 
 
-def _loss_case(pp, py, qp, qy, q_sig, n: int, k: int, i: int):
-    # Auxiliaries 1..i fire with p_pos, the other n - i with q_pos; a firing
-    # (vacuum-fed) signal detector lowers the vote threshold by one.
+def _vote(s, tails, k: int):
+    # a firing signal detector (probability s) lowers the vote threshold by one
+    return (1.0 - s) * tails[k] + s * tails[k - 1]
+
+
+def _loss_tails(pp, py, qp, qy, n: int, i: int, ms) -> list:
+    # Lost after module i: auxiliaries 1..i fire with p_pos, the other
+    # n - i with q_pos; their vote tail at every count m in ms, at index m.
     row = binomial.pmf_row(i, pp, py)
     table = binomial.tail_table(n - i, qp, qy)
-    return (1.0 - q_sig) * binomial.conv_tail_from(row, table, k) + (
-        q_sig * binomial.conv_tail_from(row, table, k - 1)
-    )
+    tails = [None] * (n + 1)
+    for m in ms:
+        tails[m] = binomial.conv_tail_from(row, table, m)
+    return tails
 
 
-def _survive_case(pp, py, p_sig, n: int, k: int):
-    table = binomial.tail_table(n, pp, py)
-    return p_sig * table[k - 1] + (1.0 - p_sig) * table[k]
+def level_figures(p_pos, q_pos, p_sig, q_sig, p: float, n: int, ks) -> list:
+    """Next-level ``(de, dcr)`` for each vote threshold in the sequence ``ks``, in order.
 
-
-def _de(p_pos, q_pos, p_sig, q_sig, p: float, n: int, k: int):
+    The one implementation of the level map: :func:`level_map` passes
+    ``(k,)`` and the batch kernel every threshold of one ``n``; a
+    threshold's values are the same bits either way.  Takes Python floats
+    (returns floats) or equal-shape float64 arrays (returns arrays); both
+    give bit-identical values.  DE mixes the loss scenarios, survive-all
+    with weight ``p**n`` and lost-after-module-i with weight
+    ``p**(i-1) * (1-p)``; DCR is the vacuum-input vote, where transmission
+    plays no role.  Work that does not depend on k is done once, and each
+    vote tail once, since threshold k reads the tails at k and k - 1.
+    """
     pp, py = _power_pair(p_pos, n)
     qp, qy = _power_pair(q_pos, n)
-    total = 0.0
+    ms = {m for k in ks for m in (k - 1, k)}
+    totals = [0.0] * len(ks)
     pw = 1.0
     for i in range(1, n + 1):
-        total = total + pw * (1.0 - p) * _loss_case(pp, py, qp, qy, q_sig, n, k, i)
+        tails = _loss_tails(pp, py, qp, qy, n, i, ms)
+        w = pw * (1.0 - p)
+        for j, k in enumerate(ks):
+            totals[j] = totals[j] + w * _vote(q_sig, tails, k)
         pw = pw * p
-    return binomial.clamp1(total + pw * _survive_case(pp, py, p_sig, n, k))
-
-
-def _dcr(q_pos, q_sig, n: int, k: int):
-    table = binomial.tail_table(n, *_power_pair(q_pos, n))
-    return binomial.clamp1((1.0 - q_sig) * table[k] + q_sig * table[k - 1])
-
-
-def level_figures(p_pos, q_pos, p_sig, q_sig, p: float, n: int, k: int) -> tuple:
-    """Next-level ``(de, dcr)`` from the four firing probabilities.
-
-    The one implementation of the level map, shared by :func:`level_map`
-    and the batch kernel.  Takes Python floats (returns floats) or
-    equal-shape float64 arrays (returns arrays); both give bit-identical
-    values.  DE mixes the loss scenarios, survive-all with weight ``p**n``
-    and lost-after-module-i with weight ``p**(i-1) * (1-p)``; DCR is the
-    vacuum-input vote, where transmission plays no role.
-    """
-    return _de(p_pos, q_pos, p_sig, q_sig, p, n, k), _dcr(q_pos, q_sig, n, k)
+    survive = binomial.tail_table(n, pp, py)
+    vacuum = binomial.tail_table(n, qp, qy)
+    return [
+        (
+            binomial.clamp1(t + pw * _vote(p_sig, survive, k)),
+            binomial.clamp1(_vote(q_sig, vacuum, k)),
+        )
+        for t, k in zip(totals, ks)
+    ]
 
 
 def de_loss_case(
@@ -340,9 +358,10 @@ def de_loss_case(
     n, k = config.n, config.k
     if i < 1 or i > n:
         raise ValueError(f"loss position i must be in [1, n], got i={i} with n={n}")
-    return _loss_case(
-        *_power_pair(inter.p_pos, n), *_power_pair(inter.q_pos, n), inter.q_sig, n, k, i
+    tails = _loss_tails(
+        *_power_pair(inter.p_pos, n), *_power_pair(inter.q_pos, n), n, i, (k - 1, k)
     )
+    return _vote(inter.q_sig, tails, k)
 
 
 def de_survive_case(inter: LevelIntermediates, config: LevelConfig) -> float:
@@ -352,8 +371,8 @@ def de_survive_case(inter: LevelIntermediates, config: LevelConfig) -> float:
     ``p_sig``; a firing signal detector lowers the auxiliary vote threshold
     by one.
     """
-    n = config.n
-    return _survive_case(*_power_pair(inter.p_pos, n), inter.p_sig, n, config.k)
+    table = binomial.tail_table(config.n, *_power_pair(inter.p_pos, config.n))
+    return _vote(inter.p_sig, table, config.k)
 
 
 def level_map(
@@ -361,8 +380,8 @@ def level_map(
 ) -> DetectorPerformance:
     """One application of the enhancement map ``(eta, dcr) -> (eta', dcr')``."""
     inter = level_intermediates(det, params)
-    de, dcr = level_figures(
-        inter.p_pos, inter.q_pos, inter.p_sig, inter.q_sig, params.p, config.n, config.k
+    ((de, dcr),) = level_figures(
+        inter.p_pos, inter.q_pos, inter.p_sig, inter.q_sig, params.p, config.n, (config.k,)
     )
     return DetectorPerformance(eta=de, dcr=dcr)
 

@@ -513,9 +513,9 @@ def series_trajectory(
     rows = [det]
     for cfg in series.schedule:
         inter = inter_fn(det, series.params)
-        de, dcr = level_figures(
+        ((de, dcr),) = level_figures(
             inter.p_pos, inter.q_pos, inter.p_sig, inter.q_sig,
-            series.params.p, cfg.n, cfg.k,
+            series.params.p, cfg.n, (cfg.k,),
         )
         det = DetectorPerformance(de, dcr)
         rows.append(det)

@@ -4,7 +4,9 @@ The search enumerates every schedule of length 1..max_levels over the
 per-level configs {(n, k): 1 <= k <= n <= n_max}, breadth-first with the
 batch level-map kernel, and returns the schedules meeting the efficiency /
 dark-count targets ranked by detection cost.  Cost is the total number of
-base detections, the product of (n_l + 1) over the levels.
+base detections, the product of (n_l + 1) over the levels.  Each level
+expands the frontier with one kernel call per n, which evaluates every
+threshold k of that n in one pass.
 
 Two prunes keep the tree manageable without touching exactness:
 
@@ -34,6 +36,7 @@ from .dynamics import (
     DetectorPerformance,
     LevelConfig,
     Schedule,
+    check_int,
     iterate_schedule,  # noqa: F401 -- looked up here by perfbench/tracer.py
 )
 
@@ -70,12 +73,8 @@ class OptimizationQuery:
     n_max: int = 8
 
     def __post_init__(self) -> None:
-        if not 1 <= self.max_levels <= MAX_SEARCH_LEVELS:
-            raise ValueError(
-                f"max_levels must be in [1, {MAX_SEARCH_LEVELS}], got {self.max_levels}"
-            )
-        if not 1 <= self.n_max <= MAX_SEARCH_N:
-            raise ValueError(f"n_max must be in [1, {MAX_SEARCH_N}], got {self.n_max}")
+        check_int("max_levels", self.max_levels, 1, MAX_SEARCH_LEVELS)
+        check_int("n_max", self.n_max, 1, MAX_SEARCH_N)
         for name in ("de_target", "dcr_target"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
@@ -120,8 +119,8 @@ def search_schedules(
     used, schedule encoding); the ordering is deterministic across runs and
     thread counts.  An empty list means no schedule qualifies.
     """
-    if top is not None and top < 1:
-        raise ValueError(f"top must be >= 1 or None, got {top}")
+    if top is not None:
+        check_int("top", top, 1)
     params = query.params
     configs = [(n, k) for n in range(1, query.n_max + 1) for k in range(1, n + 1)]
 
@@ -139,13 +138,16 @@ def search_schedules(
 
     for level in range(1, query.max_levels + 1):
         parts = []
-        for ci, (n, k) in enumerate(configs):
-            e2, d2 = _kernels.level_map_batch(
-                etas, ds, params.p, params.P_act, params.Q_err, n, k
+        shifted = codes << np.uint64(8)
+        for n in range(1, query.n_max + 1):
+            # every threshold of one n in one kernel call, in (n, k) order
+            figures = _kernels.level_map_batch(
+                etas, ds, params.p, params.P_act, params.Q_err, n, range(1, n + 1)
             )
-            code2 = (codes << np.uint64(8)) | np.uint64(ci + 1)
             cost2 = costs * (n + 1)
-            parts.append((e2, d2, code2, cost2))
+            for e2, d2 in figures:
+                # a config's code is its 1-based index in configs
+                parts.append((e2, d2, shifted | np.uint64(len(parts) + 1), cost2))
         e_all = np.concatenate([p[0] for p in parts])
         d_all = np.concatenate([p[1] for p in parts])
         code_all = np.concatenate([p[2] for p in parts])

@@ -39,6 +39,16 @@ class TestDecisionPoly:
         with pytest.raises(ValueError, match="a must be a number"):
             decision_poly(a, 4, 2, 0.3)
 
+    @pytest.mark.parametrize(
+        "n,k,field",
+        [(True, True, "n"), (2.5, 2, "n"), ("3", 2, "n"), (0, 1, "n"), (65, 2, "n"),
+         (4, True, "k"), (4, 2.5, "k"), (4, "3", "k"), (4, 0, "k"), (4, 5, "k")],
+    )
+    def test_counts_must_be_integers_in_range(self, n, k, field):
+        # True would otherwise pass as n = k = 1 (decision_poly(0.5, True, True, 0.3) == 0.65)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            decision_poly(0.5, n, k, 0.3)
+
     def test_monotone_on_grid(self):
         a, n, k = 0.5, 6, 3
         hi = (k - 1) / n

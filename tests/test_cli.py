@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, CSV shape, determinism, atomicity."""
 
+import hashlib
 import json
 
 import pytest
@@ -183,6 +184,23 @@ class TestOptimize:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "s.csv").exists()
+
+    # SHA-256 of each query's CSV: a change to any value, row or order of the
+    # ranking changes it (criterion 10 holds the search output byte-stable).
+    @pytest.mark.parametrize(
+        "extra,digest",
+        [
+            ([], "27880e1c92ccc8de9836773786994a01c0fc961d26160bf81d5af9abef7b030f"),
+            (["--pareto"], "b43eae09eb4baee349f7b30cc72ded57b2b4958f2072bcd2d28482f671e82544"),
+        ],
+    )
+    def test_search_csv_bytes_pinned(self, tmp_path, extra, digest):
+        out = tmp_path / "s.csv"
+        assert main(
+            ["optimize", "--de-target", "0.93", "--dcr-target", "1e-9", "--max-levels", "3",
+             "--n-max", "6", "--top", "0", *extra, "--out", str(out)]
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_pareto_flag_subsets_ranking(self, tmp_path):
         base = ["optimize", "--de-target", "0.9", "--dcr-target", "1e-3",

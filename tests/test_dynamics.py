@@ -30,6 +30,7 @@ from espd import (
     level_map,
 )
 from espd import _kernels, de_gain, decision_poly
+from espd.dynamics import check_int, firing_probs, level_figures
 
 BASELINE = ComponentParams(p=0.98, P_act=0.97, Q_err=0.002)
 
@@ -125,11 +126,13 @@ class TestIntermediates:
             build(bad)
 
     @pytest.mark.parametrize(
-        "n,k", [(True, True), (4, True), (True, 1), (4.0, 2), (0, 1), (65, 1), (3, 4)]
+        "n,k",
+        [(True, True), (4, True), (True, 1), (4.0, 2), (0, 1), (65, 1), (3, 4),
+         (2.5, 2), ("3", 2), (4, 2.5), (4, "3"), (4, 0)],
     )
     def test_level_config_rejects_non_counts(self, n, k):
         # bool is an int subclass; True must not pass as n = 1 or k = 1
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="[nk] must be an integer"):
             LevelConfig(n, k)
 
     @given(det_eta=probs, det_d=probs, P=probs, Q=probs, p=probs)
@@ -308,6 +311,21 @@ class TestLevelMap:
 log_dcr = st.floats(min_value=-30.0, max_value=-1.0).map(lambda e: 10.0**e)
 
 
+class TestCheckInt:
+    @pytest.mark.parametrize("value,lo,hi", [(1, 1, 1), (3, 1, 4), (10**30, 1, None), (-2, -5, 0)])
+    def test_accepts_ints_in_range(self, value, lo, hi):
+        assert check_int("m", value, lo, hi) is value
+
+    @pytest.mark.parametrize(
+        "value,lo,hi",
+        [(True, 1, 4), (False, 0, 4), (2.5, 1, 4), (2.0, 1, 4), ("3", 1, 4), (None, 1, 4),
+         (0, 1, 4), (5, 1, 4), (0, 1, None), (np.int64(3), 1, 4)],
+    )
+    def test_rejects_non_ints_and_out_of_range(self, value, lo, hi):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            check_int("m", value, lo, hi)
+
+
 class TestScalarBatchAgree:
     """The batch kernel runs the scalar path's code, so values are identical."""
 
@@ -319,12 +337,64 @@ class TestScalarBatchAgree:
         params = ComponentParams(data.draw(probs), data.draw(probs), data.draw(probs))
         etas = data.draw(st.lists(probs, min_size=1, max_size=8))
         ds = [data.draw(log_dcr) for _ in etas]
-        e, d = _kernels.level_map_batch(
-            np.array(etas), np.array(ds), params.p, params.P_act, params.Q_err, n, k
+        ((e, d),) = _kernels.level_map_batch(
+            np.array(etas), np.array(ds), params.p, params.P_act, params.Q_err, n, (k,)
         )
         for j, (eta, dcr) in enumerate(zip(etas, ds)):
             perf = level_map(DetectorPerformance(eta, dcr), params, LevelConfig(n, k))
             assert perf.eta == e[j] and perf.dcr == d[j]
+
+
+class TestAllThresholds:
+    """One pass over every threshold of an n gives each single-threshold value exactly."""
+
+    @staticmethod
+    def _assert_each_threshold_alone(fp, p, n, ks):
+        every = level_figures(*fp, p, n, ks)
+        assert len(every) == len(ks)
+        for (de, dcr), k in zip(every, ks):
+            ((de1, dcr1),) = level_figures(*fp, p, n, (k,))
+            assert np.array_equal(de, de1) and np.array_equal(dcr, dcr1), (n, k)
+            assert type(de) is type(de1) and type(dcr) is type(dcr1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_single_threshold(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=12))
+        params = ComponentParams(data.draw(probs), data.draw(probs), data.draw(probs))
+        etas = data.draw(st.lists(probs, min_size=1, max_size=8))
+        ds = [data.draw(log_dcr) for _ in etas]
+        ks = range(1, n + 1)
+        for eta, d in zip(etas, ds):
+            fp = firing_probs(eta, d, params.P_act, params.Q_err)
+            self._assert_each_threshold_alone(fp, params.p, n, ks)
+        fp = firing_probs(np.array(etas), np.array(ds), params.P_act, params.Q_err)
+        self._assert_each_threshold_alone(fp, params.p, n, ks)
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_deep_levels_at_tiny_dark_count(self, n):
+        etas = [0.0, 0.59, 0.934, 1.0]
+        ks = range(1, n + 1)
+        for eta in etas:
+            fp = firing_probs(eta, 1e-30, BASELINE.P_act, BASELINE.Q_err)
+            self._assert_each_threshold_alone(fp, BASELINE.p, n, ks)
+        fp = firing_probs(np.array(etas), np.full(4, 1e-30), BASELINE.P_act, BASELINE.Q_err)
+        self._assert_each_threshold_alone(fp, BASELINE.p, n, ks)
+
+    def test_thresholds_in_the_order_given(self):
+        fp = firing_probs(0.59, 1e-2, BASELINE.P_act, BASELINE.Q_err)
+        forward = level_figures(*fp, BASELINE.p, 8, range(1, 9))
+        assert level_figures(*fp, BASELINE.p, 8, [8, 3, 3, 1]) == [
+            forward[7], forward[2], forward[2], forward[0]
+        ]
+
+    def test_batch_kernel_returns_every_threshold(self):
+        etas, ds = np.array([0.59, 0.974]), np.array([1e-2, 5.3e-2])
+        figures = _kernels.level_map_batch(etas, ds, 0.98, 0.97, 0.002, 4, range(1, 5))
+        for k, (e, d) in zip(range(1, 5), figures):
+            for j in range(2):
+                perf = level_map(DetectorPerformance(etas[j], ds[j]), BASELINE, LevelConfig(4, k))
+                assert perf.eta == e[j] and perf.dcr == d[j]
 
 
 def mp_level(eta, d, params, n, ks):
@@ -369,9 +439,9 @@ class TestHighPrecisionReference:
         for d in (1e-30, 1e-20, 1e-10):
             for eta in (0.59, 0.934):
                 ref = mp_level(eta, d, BASELINE, n, ks)
-                for k in ks:
-                    perf = level_map(DetectorPerformance(eta, d), BASELINE, LevelConfig(n, k))
-                    for got, want in zip((perf.eta, perf.dcr), ref[k]):
+                fp = firing_probs(eta, d, BASELINE.P_act, BASELINE.Q_err)
+                for k, figures in zip(ks, level_figures(*fp, BASELINE.p, n, ks)):
+                    for got, want in zip(figures, ref[k]):
                         assert abs(got - want) <= 1e-13 * abs(want), (n, k, d, eta, got, want)
 
 
@@ -394,7 +464,7 @@ class TestIterateSchedule:
         with pytest.raises(ValueError, match="at least one level"):
             Schedule(BASELINE, ())
 
-    @pytest.mark.parametrize("bad", [0, MAX_LEVELS + 1, True, 2.0, "3"])
+    @pytest.mark.parametrize("bad", [0, MAX_LEVELS + 1, True, 2.0, 2.5, "3"])
     def test_level_cap_and_type_enforced(self, bad):
         with pytest.raises(ValueError, match="max_levels"):
             ConvergenceRule(max_levels=bad)

@@ -165,6 +165,18 @@ class TestSearchSchedules:
         with pytest.raises(ValueError, match="top"):
             search_schedules(query, top=0)
 
+    @pytest.mark.parametrize("bad", [True, 2.5, 2.0, "3", 0, 13])
+    @pytest.mark.parametrize("field", ["max_levels", "n_max"])
+    def test_space_bounds_must_be_integers_in_range(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            OptimizationQuery(SEED, BASELINE, 0.9, 1e-6, **{field: bad})
+
+    @pytest.mark.parametrize("bad", [True, 2.5, "3", 0, -1])
+    def test_top_must_be_positive_integer_or_none(self, bad):
+        query = OptimizationQuery(SEED, BASELINE, 0.9, 1e-6, max_levels=1, n_max=2)
+        with pytest.raises(ValueError, match="top must be an integer"):
+            search_schedules(query, top=bad)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
     def test_targets_must_be_finite_and_non_negative(self, bad):
         with pytest.raises(ValueError, match="de_target"):
@@ -189,9 +201,9 @@ class TestDcrFloor:
             for eta in (0.0, 1e-300, 0.59, 1.0):
                 for n in range(1, n_max + 1):
                     for k in range(1, n + 1):
-                        _, exact = _kernels.level_map_batch(
+                        ((_, exact),) = _kernels.level_map_batch(
                             np.full_like(self.D_GRID, eta), self.D_GRID,
-                            params.p, params.P_act, params.Q_err, n, k,
+                            params.p, params.P_act, params.Q_err, n, (k,),
                         )
                         assert np.all(floor <= exact), (params, eta, n, k)
 
@@ -202,13 +214,13 @@ class TestDcrFloor:
         for params in (BASELINE, ComponentParams(0.5, 0.3, 0.0)):
             for eta in (0.0, 0.59):
                 for n1, k1 in configs:
-                    e1, d1 = _kernels.level_map_batch(
+                    ((e1, d1),) = _kernels.level_map_batch(
                         np.full_like(self.D_GRID, eta), self.D_GRID,
-                        params.p, params.P_act, params.Q_err, n1, k1,
+                        params.p, params.P_act, params.Q_err, n1, (k1,),
                     )
                     for n2, k2 in configs:
-                        _, d2 = _kernels.level_map_batch(
-                            e1, d1, params.p, params.P_act, params.Q_err, n2, k2
+                        ((_, d2),) = _kernels.level_map_batch(
+                            e1, d1, params.p, params.P_act, params.Q_err, n2, (k2,)
                         )
                         assert np.all(floor <= d2), (params, eta, n1, k1, n2, k2)
 

@@ -1,13 +1,17 @@
-"""The benchmark tracer's layer names must resolve in the package.
+"""The benchmark tracer's layer names and search metrics must stay meaningful.
 
 ``perfbench/tracer.py`` patches every ``(module, attribute)`` it lists, so
 deleting or renaming one of them in ``src/espd`` breaks ``--trace 1`` runs.
-This test loads the tracer from its file and fails first.
+Its per-level search metrics count one frontier per run of consecutive
+``level_map_batch`` calls on one state array.  These tests load the tracer
+from its file and fail first.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+from espd import ComponentParams, DetectorPerformance, OptimizationQuery
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -29,3 +33,26 @@ def test_every_traced_name_resolves():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def test_search_metrics_count_one_kernel_call_per_n():
+    tracer_mod = _load_tracer()
+    optimize = importlib.import_module("espd.optimize")
+    n_max, max_levels = 4, 3
+    query = OptimizationQuery(
+        DetectorPerformance(0.59, 1e-2), ComponentParams(0.98, 0.97, 0.002),
+        0.93, 1e-3, max_levels=max_levels, n_max=n_max,
+    )
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        results = optimize.search_schedules(query, top=None)
+    finally:
+        tracer.uninstall()
+    assert results
+    m = tracer_mod.layer_metrics(tracer.dump(), max_levels)
+    frontiers = [m[f"optimize.frontier_L{level}"] for level in range(1, max_levels + 1)]
+    assert m["optimize.frontier_L1"] == 1
+    assert all(f > 0 for f in frontiers)  # every level is expanded
+    assert m["kernels.level_map_batch.calls"] == n_max * max_levels
+    assert m["optimize.states_expanded"] == n_max * sum(frontiers)
