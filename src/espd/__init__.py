@@ -49,6 +49,7 @@ _LAZY = {
     "backend_name": "_kernels",
     "OptimizationQuery": "optimize",
     "RankedSchedule": "optimize",
+    "SearchResult": "optimize",
     "pareto_front": "optimize",
     "resource_cost": "optimize",
     "search_schedules": "optimize",
@@ -112,6 +113,7 @@ __all__ = [
     "oracle_report",
     "OptimizationQuery",
     "RankedSchedule",
+    "SearchResult",
     "resource_cost",
     "search_schedules",
     "pareto_front",

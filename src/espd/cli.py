@@ -32,6 +32,7 @@ from .dynamics import (
     DetectorPerformance,
     LevelConfig,
     Schedule,
+    check_int,
     check_prob,
     iterate_schedule,
 )
@@ -283,9 +284,10 @@ def cmd_optimize(args) -> int:
         results = optimize.pareto_front(results)
     out_path = _resolve_out(args.out, "schedules.csv")
     lines = ["schedule,cost,de,dcr"]
-    for r in results:
-        label = golden.schedule_label(r.schedule.levels)
-        lines.append(f"{label},{r.cost},{_fmt(r.final.eta)},{_fmt(r.final.dcr)}")
+    # straight from the columns: tolist() gives Python floats, formatted as _fmt does
+    columns = (results.costs.tolist(), results.eta.tolist(), results.dcr.tolist())
+    for label, cost, eta, dcr in zip(results.labels(), *columns):
+        lines.append(f"{label},{cost},{eta:.17g},{dcr:.17g}")
     try:
         _atomic_write(out_path, "\n".join(lines) + "\n")
     except OSError as exc:
@@ -307,10 +309,8 @@ def cmd_oracle(args) -> int:
                 f"n must be <= {oracle.ENUM_MAX_N} for enumeration, got {args.n}"
             )
         config = LevelConfig(args.n, args.k)
-        if args.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {args.trials}")
-        if args.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {args.threads}")
+        check_int("trials", args.trials, 1)
+        check_int("threads", args.threads, 1)
     except (ConfigError, ValueError) as exc:
         _err(str(exc))
         return 2

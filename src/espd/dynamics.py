@@ -422,6 +422,5 @@ def iterate_schedule(
 def effective_transmission(p: float, N: int) -> float:
     """Per-module transmission under a 1/N post-selection gate: ``p**N``."""
     check_prob("p", p)
-    if not isinstance(N, int) or N < 1:
-        raise ValueError(f"N must be a positive integer, got {N!r}")
+    check_int("N", N, 1)
     return p**N

@@ -21,11 +21,16 @@ Two prunes keep the tree manageable without touching exactness:
 The batch kernel runs the scalar level map's own code on arrays, so the
 final performance recorded for every returned schedule is bit-identical to
 re-evaluating it with :func:`espd.dynamics.iterate_schedule`.
+
+Results are the search's own columns (a :class:`SearchResult`, which
+:func:`pareto_front` also takes and returns); a :class:`RankedSchedule`
+row is built only when a caller indexes or iterates one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +42,14 @@ from .dynamics import (
     LevelConfig,
     Schedule,
     check_int,
+    check_number,
     iterate_schedule,  # noqa: F401 -- looked up here by perfbench/tracer.py
 )
 
 __all__ = [
     "OptimizationQuery",
     "RankedSchedule",
+    "SearchResult",
     "resource_cost",
     "search_schedules",
     "pareto_front",
@@ -77,8 +84,8 @@ class OptimizationQuery:
         check_int("n_max", self.n_max, 1, MAX_SEARCH_N)
         for name in ("de_target", "dcr_target"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+            if check_number(name, value) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +94,67 @@ class RankedSchedule:
     final: DetectorPerformance
     cost: int
     levels_used: int
+
+
+@dataclass(frozen=True, eq=False)
+class SearchResult(Sequence):
+    """Ranked schedules as columns, read as a sequence of :class:`RankedSchedule`.
+
+    Row i has ``lengths[i]`` levels, named by the bytes of ``codes[i]``
+    from the most significant down (byte c is ``configs[c - 1]``), total
+    cost ``costs[i]`` and final point ``(eta[i], dcr[i])``.  Indexing or
+    iterating builds each row's :class:`RankedSchedule` on access; a slice
+    is another ``SearchResult``.
+    """
+
+    params: ComponentParams
+    configs: tuple[LevelConfig, ...]
+    codes: np.ndarray  # uint64
+    lengths: np.ndarray  # int64
+    costs: np.ndarray  # int64
+    eta: np.ndarray  # float64
+    dcr: np.ndarray  # float64
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._take(i)
+        length = int(self.lengths[i])
+        return RankedSchedule(
+            Schedule(self.params, _decode(int(self.codes[i]), length, self.configs)),
+            DetectorPerformance(float(self.eta[i]), float(self.dcr[i])),
+            int(self.costs[i]),
+            length,
+        )
+
+    def _take(self, rows) -> SearchResult:
+        # the rows an index array or slice selects, in its order
+        return SearchResult(
+            self.params, self.configs, self.codes[rows], self.lengths[rows],
+            self.costs[rows], self.eta[rows], self.dcr[rows],
+        )
+
+    def labels(self) -> list[str]:
+        """Each row's run-length label, e.g. ``4:1+4:2x7``.
+
+        The same string as :func:`espd.golden.schedule_label` of the row's
+        levels, read straight from the code.
+        """
+        names = [f"{cfg.n}:{cfg.k}" for cfg in self.configs]
+        labels = []
+        for code, length in zip(self.codes.tolist(), self.lengths.tolist()):
+            cis = _config_indices(code, length)
+            parts = []
+            i = 0
+            for j in range(1, length + 1):
+                if j == length or cis[j] != cis[i]:
+                    name = names[cis[i] - 1]
+                    parts.append(name if j - i == 1 else f"{name}x{j - i}")
+                    i = j
+            labels.append("+".join(parts))
+        return labels
 
 
 def resource_cost(schedule: Schedule) -> int:
@@ -110,19 +178,21 @@ def _dcr_floor(d: np.ndarray, n_max: int, steps: int) -> np.ndarray:
     return f
 
 
-def search_schedules(
-    query: OptimizationQuery, top: int | None = 50
-) -> list[RankedSchedule]:
+def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchResult:
     """All (or the `top` cheapest) schedules meeting the query's targets.
 
     Results are ordered by (cost asc, final dcr asc, final eta desc, levels
     used, schedule encoding); the ordering is deterministic across runs and
-    thread counts.  An empty list means no schedule qualifies.
+    thread counts.  The ranking comes back as the search's own columns; a
+    :class:`RankedSchedule` is built only when a row is accessed.  An empty
+    result means no schedule qualifies.
     """
     if top is not None:
         check_int("top", top, 1)
     params = query.params
-    configs = [(n, k) for n in range(1, query.n_max + 1) for k in range(1, n + 1)]
+    configs = tuple(
+        LevelConfig(n, k) for n in range(1, query.n_max + 1) for k in range(1, n + 1)
+    )
 
     etas = np.array([query.init.eta], dtype=np.float64)
     ds = np.array([query.init.dcr], dtype=np.float64)
@@ -154,13 +224,13 @@ def search_schedules(
         cost_all = np.concatenate([p[3] for p in parts])
 
         feas = (e_all >= query.de_target) & (d_all <= query.dcr_target)
-        if feas.any():
-            cand_codes.append(code_all[feas])
-            cand_costs.append(cost_all[feas])
-            cand_etas.append(e_all[feas])
-            cand_ds.append(d_all[feas])
-            cand_len.append(np.full(int(feas.sum()), level, dtype=np.int64))
-            feasible_total += int(feas.sum())
+        feasible = int(np.count_nonzero(feas))
+        cand_codes.append(code_all[feas])
+        cand_costs.append(cost_all[feas])
+        cand_etas.append(e_all[feas])
+        cand_ds.append(d_all[feas])
+        cand_len.append(np.full(feasible, level, dtype=np.int64))
+        feasible_total += feasible
 
         if level == query.max_levels:
             break
@@ -176,63 +246,55 @@ def search_schedules(
         if etas.shape[0] == 0:
             break
 
-    if feasible_total == 0:
-        return []
-
     code_flat = np.concatenate(cand_codes)
+    len_flat = np.concatenate(cand_len)
     cost_flat = np.concatenate(cand_costs)
     eta_flat = np.concatenate(cand_etas)
     d_flat = np.concatenate(cand_ds)
-    len_flat = np.concatenate(cand_len)
     # Rank by cost, dcr, -eta, length, then encoding: within one length the
     # code sorts like the encoding, since configs are listed in (n, k) order.
     order = np.lexsort((code_flat, len_flat, -eta_flat, d_flat, cost_flat))
     if top is not None:
         order = order[:top]
-    level_cfgs = [LevelConfig(n, k) for n, k in configs]
-    results = []
-    for idx in order:
-        cfgs = _decode(int(code_flat[idx]), int(len_flat[idx]), level_cfgs)
-        final = DetectorPerformance(float(eta_flat[idx]), float(d_flat[idx]))
-        results.append(
-            RankedSchedule(Schedule(params, cfgs), final, int(cost_flat[idx]), len(cfgs))
-        )
-    return results
+    unranked = SearchResult(params, configs, code_flat, len_flat, cost_flat, eta_flat, d_flat)
+    return unranked._take(order)
+
+
+def _config_indices(code: int, length: int) -> list[int]:
+    # the 1-based config-table index of each level of a code, first level first
+    return [(code >> s) & 0xFF for s in range(8 * length - 8, -8, -8)]
 
 
 def _decode(
-    code: int, length: int, level_cfgs: list[LevelConfig]
+    code: int, length: int, level_cfgs: tuple[LevelConfig, ...]
 ) -> tuple[LevelConfig, ...]:
-    out = []
-    for lvl in range(length):
-        ci = (code >> (8 * (length - 1 - lvl))) & 0xFF
-        out.append(level_cfgs[ci - 1])
-    return tuple(out)
+    return tuple(level_cfgs[ci - 1] for ci in _config_indices(code, length))
 
 
-def _front_key(r: RankedSchedule) -> tuple:
-    encoding = tuple((cfg.n, cfg.k) for cfg in r.schedule.levels)
-    return (r.cost, -r.final.eta, r.final.dcr, encoding)
-
-
-def pareto_front(results: list[RankedSchedule]) -> list[RankedSchedule]:
+def pareto_front(results: SearchResult) -> SearchResult:
     """Non-dominated subset under (cost down, eta up, dcr down).
 
     An element is dropped only if another is at least as good on all three
     axes and strictly better on one; ties on all axes keep both.  Output is
-    sorted by (cost asc, eta desc, dcr asc, encoding).
+    sorted by (cost asc, eta desc, dcr asc, encoding), where the encoding
+    is the tuple of the levels' config indices, which for a search result
+    sorts like their (n, k) pairs.
 
     A dominator sorts before what it dominates, and dominance is
     transitive, so in sorted order each element needs comparing only with
     the front kept so far, whose costs are all <= its own.
     """
-    front: list[RankedSchedule] = []
+    # Left-aligned, the codes compare like the encodings as tuples: config
+    # indices start at 1, so a schedule sorts before its extensions.
+    shift = (8 * (MAX_SEARCH_LEVELS - results.lengths)).astype(np.uint64)
+    order = np.lexsort((results.codes << shift, results.dcr, -results.eta, results.costs))
+    rows: list[int] = []
     kept: list[tuple[int, float, float]] = []
-    for r in sorted(results, key=_front_key):
-        c, e, d = r.cost, r.final.eta, r.final.dcr
+    columns = (results.costs[order], results.eta[order], results.dcr[order])
+    for i, c, e, d in zip(order.tolist(), *(col.tolist() for col in columns)):
         if not any(
             qe >= e and qd <= d and (qc < c or qe > e or qd < d) for qc, qe, qd in kept
         ):
-            front.append(r)
+            rows.append(i)
             kept.append((c, e, d))
-    return front
+    return results._take(np.array(rows, dtype=np.intp))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dynamics import ComponentParams, DetectorPerformance, LevelConfig, level_map
+from .dynamics import ComponentParams, DetectorPerformance, LevelConfig, check_int, level_map
 
 __all__ = [
     "ENUM_MAX_N",
@@ -121,10 +121,8 @@ def mc_level(
     substream seeded by ``mix64(seed XOR b)`` and block tallies are summed
     in ascending block order, so the output depends only on (seed, trials).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    check_int("trials", trials, 1)
+    check_int("threads", threads, 1)
     seed &= (1 << 64) - 1
     n, k = config.n, config.k
     p = params.p

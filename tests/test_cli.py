@@ -187,18 +187,26 @@ class TestOptimize:
 
     # SHA-256 of each query's CSV: a change to any value, row or order of the
     # ranking changes it (criterion 10 holds the search output byte-stable).
+    # The last two are the full listing at --max-levels 4 --n-max 8 (37,546
+    # rows) and its Pareto front (896 rows).
     @pytest.mark.parametrize(
         "extra,digest",
         [
-            ([], "27880e1c92ccc8de9836773786994a01c0fc961d26160bf81d5af9abef7b030f"),
-            (["--pareto"], "b43eae09eb4baee349f7b30cc72ded57b2b4958f2072bcd2d28482f671e82544"),
+            (["--max-levels", "3", "--n-max", "6"],
+             "27880e1c92ccc8de9836773786994a01c0fc961d26160bf81d5af9abef7b030f"),
+            (["--max-levels", "3", "--n-max", "6", "--pareto"],
+             "b43eae09eb4baee349f7b30cc72ded57b2b4958f2072bcd2d28482f671e82544"),
+            (["--max-levels", "4", "--n-max", "8"],
+             "8e9efee8c845b0b5f013e998aef945643f993efc2e678c6abcca9dd895c8c43a"),
+            (["--max-levels", "4", "--n-max", "8", "--pareto"],
+             "40c9fe1e629962c460b13024f571caacb102cd6309b32855a34d0600a4489929"),
         ],
     )
     def test_search_csv_bytes_pinned(self, tmp_path, extra, digest):
         out = tmp_path / "s.csv"
         assert main(
-            ["optimize", "--de-target", "0.93", "--dcr-target", "1e-9", "--max-levels", "3",
-             "--n-max", "6", "--top", "0", *extra, "--out", str(out)]
+            ["optimize", "--de-target", "0.93", "--dcr-target", "1e-9", "--top", "0",
+             *extra, "--out", str(out)]
         ) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
@@ -240,6 +248,18 @@ class TestOracle:
 
     def test_enumeration_cap(self, capsys):
         assert main(["oracle", "--n", "17", "--k", "1"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--trials", "--threads"])
+    def test_zero_count_rejected(self, monkeypatch, capsys, flag):
+        from espd import oracle
+
+        def started(*args, **kwargs):
+            raise AssertionError("oracle ran before the counts were checked")
+
+        monkeypatch.setattr(oracle, "oracle_report", started)
+        assert main(["oracle", "--n", "4", "--k", "1", flag, "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag[2:] in err
 
 
 class TestQkd:

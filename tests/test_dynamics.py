@@ -530,8 +530,9 @@ class TestEffectiveTransmission:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             effective_transmission(1.5, 2)
-        with pytest.raises(ValueError):
-            effective_transmission(0.9, 0)
+        for bad in (0, -3, True, 2.0, "2"):
+            with pytest.raises(ValueError, match="N must be an integer"):
+                effective_transmission(0.9, bad)
 
 
 class TestApproxIntermediates:

@@ -14,12 +14,14 @@ from espd import (
     OptimizationQuery,
     RankedSchedule,
     Schedule,
+    SearchResult,
     iterate_schedule,
     pareto_front,
     resource_cost,
     search_schedules,
 )
 from espd import _kernels
+from espd.golden import schedule_label
 from espd.optimize import MAX_SEARCH_N, _dcr_floor
 
 BASELINE = ComponentParams(p=0.98, P_act=0.97, Q_err=0.002)
@@ -60,7 +62,7 @@ class TestSearchSchedules:
 
     def test_unattainable_target_yields_empty(self):
         query = OptimizationQuery(SEED, BASELINE, 1.01, 1e-9, max_levels=2, n_max=4)
-        assert search_schedules(query) == []
+        assert len(search_schedules(query)) == 0
 
     def test_all_results_meet_targets(self):
         query = OptimizationQuery(SEED, BASELINE, 0.95, 1e-4, max_levels=3, n_max=6)
@@ -177,7 +179,7 @@ class TestSearchSchedules:
         with pytest.raises(ValueError, match="top must be an integer"):
             search_schedules(query, top=bad)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1, True, "0.9", None])
     def test_targets_must_be_finite_and_non_negative(self, bad):
         with pytest.raises(ValueError, match="de_target"):
             OptimizationQuery(SEED, BASELINE, bad, 1e-6)
@@ -225,10 +227,28 @@ class TestDcrFloor:
                         assert np.all(floor <= d2), (params, eta, n1, k1, n2, k2)
 
 
-def _ranked(cfgs, eta, dcr):
-    sched = Schedule(BASELINE, tuple(LevelConfig(n, k) for n, k in cfgs))
-    return RankedSchedule(
-        sched, DetectorPerformance(eta, dcr), resource_cost(sched), len(cfgs)
+# the search's config table at MAX_SEARCH_N: code byte c names CONFIGS[c - 1]
+CONFIGS = tuple(
+    LevelConfig(n, k) for n in range(1, MAX_SEARCH_N + 1) for k in range(1, n + 1)
+)
+
+
+def _pool(rows):
+    """A SearchResult holding ``rows`` of (configs, eta, dcr), in order."""
+    codes = []
+    for cfgs, _, _ in rows:
+        code = 0
+        for n, k in cfgs:
+            code = (code << 8) | (CONFIGS.index(LevelConfig(n, k)) + 1)
+        codes.append(code)
+    return SearchResult(
+        BASELINE,
+        CONFIGS,
+        np.array(codes, dtype=np.uint64),
+        np.array([len(cfgs) for cfgs, _, _ in rows], dtype=np.int64),
+        np.array([math.prod(n + 1 for n, _ in cfgs) for cfgs, _, _ in rows], dtype=np.int64),
+        np.array([eta for _, eta, _ in rows], dtype=np.float64),
+        np.array([dcr for _, _, dcr in rows], dtype=np.float64),
     )
 
 
@@ -241,59 +261,86 @@ def _dominates(a, b):
     )
 
 
+class TestSearchResult:
+    # Every schedule of up to 4 levels over the 6 configs with n <= 3, so
+    # the listing holds every run shape, x2 to x4 runs included.
+    LISTING = OptimizationQuery(SEED, BASELINE, 0.0, 1.0, max_levels=4, n_max=3)
+
+    def test_labels_match_golden_label_of_every_row(self):
+        result = search_schedules(self.LISTING, top=None)
+        assert len(result) == 6 + 6**2 + 6**3 + 6**4
+        expected = [schedule_label(r.schedule.levels) for r in result]
+        assert "1:1x4" in expected and "2:1+3:3x2+2:1" in expected
+        assert result.labels() == expected
+
+    def test_rows_are_built_from_the_columns(self):
+        result = search_schedules(self.LISTING, top=None)
+        rows = list(result)
+        assert [r.cost for r in rows] == result.costs.tolist()
+        assert [r.final.eta for r in rows] == result.eta.tolist()
+        assert [r.levels_used for r in rows] == result.lengths.tolist()
+        assert result[-1] == rows[-1]
+        assert list(result[5:9]) == rows[5:9]
+        with pytest.raises(IndexError):
+            result[len(result)]
+
+    def test_front_of_listing_matches_brute_force_definition(self):
+        rows = list(search_schedules(self.LISTING, top=None))
+        expected = sorted(
+            (r for r in rows if not any(_dominates(q, r) for q in rows)),
+            key=lambda r: (r.cost, -r.final.eta, r.final.dcr, _encode(r)),
+        )
+        assert list(pareto_front(search_schedules(self.LISTING, top=None))) == expected
+
+
 class TestParetoFront:
     def test_singleton(self):
-        r = _ranked([(4, 1)], 0.9, 1e-3)
-        assert pareto_front([r]) == [r]
+        pool = _pool([([(4, 1)], 0.9, 1e-3)])
+        assert list(pareto_front(pool)) == list(pool)
 
     def test_dominated_element_removed(self):
-        better = _ranked([(4, 1)], 0.95, 1e-4)
-        worse = _ranked([(8, 1)], 0.90, 1e-3)
-        assert pareto_front([better, worse]) == [better]
+        pool = _pool([([(4, 1)], 0.95, 1e-4), ([(8, 1)], 0.90, 1e-3)])
+        assert list(pareto_front(pool)) == [pool[0]]
 
     def test_ties_on_all_axes_both_kept(self):
-        a = _ranked([(4, 1)], 0.9, 1e-3)
-        b = _ranked([(4, 2)], 0.9, 1e-3)  # same cost 5
-        assert len(pareto_front([a, b])) == 2
+        pool = _pool([([(4, 1)], 0.9, 1e-3), ([(4, 2)], 0.9, 1e-3)])  # same cost 5
+        assert len(pareto_front(pool)) == 2
 
     def test_front_never_contains_dominated_pair(self):
-        import numpy as np
-
         rng = np.random.default_rng(37)
-        pool = [
-            _ranked(
+        pool = _pool([
+            (
                 [(int(rng.integers(1, 9)), 1)],
                 float(rng.uniform(0.5, 1.0)),
                 float(rng.uniform(0, 1e-3)),
             )
             for _ in range(40)
-        ]
-        front = pareto_front(pool)
-        for a in front:
-            for b in front:
-                if a is not b:
+        ])
+        front = list(pareto_front(pool))
+        for i, a in enumerate(front):
+            for j, b in enumerate(front):
+                if i != j:
                     assert not _dominates(a, b)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_brute_force_definition(self, seed):
         # Few distinct values per axis, so the pools hold ties on every
         # axis, all-axes ties and repeated schedules.
-        import numpy as np
-
         rng = np.random.default_rng(seed)
-        pool = [
-            _ranked(
+        pool = _pool([
+            (
                 [(int(rng.integers(1, 4)), 1)] * int(rng.integers(1, 3)),
                 float(rng.choice([0.5, 0.7, 0.9])),
                 float(rng.choice([1e-4, 1e-3, 1e-2])),
             )
             for _ in range(int(rng.integers(1, 60)))
-        ]
+        ])
+        rows = list(pool)
         expected = sorted(
-            (r for r in pool if not any(_dominates(q, r) for q in pool)),
+            (r for r in rows if not any(_dominates(q, r) for q in rows)),
             key=lambda r: (r.cost, -r.final.eta, r.final.dcr, _encode(r)),
         )
-        assert [id(r) for r in pareto_front(pool)] == [id(r) for r in expected]
+        assert list(pareto_front(pool)) == expected
 
     def test_reference_three_level_prefixes(self):
         # Three known schedules truncated at level 3 all reach the same
@@ -303,20 +350,19 @@ class TestParetoFront:
             [(4, 2), (8, 4), (8, 4)],
             [(3, 1), (6, 4), (8, 4)],
         ]
-        ranked = []
+        pool_rows = []
         for cfgs in prefixes:
             sched = Schedule(BASELINE, tuple(LevelConfig(n, k) for n, k in cfgs))
             traj = iterate_schedule(
                 SEED, sched, ConvergenceRule(max_levels=3, eta_tol=0.0, dcr_tol=0.0)
             )
-            ranked.append(
-                RankedSchedule(sched, traj.final(), resource_cost(sched), 3)
-            )
+            pool_rows.append((cfgs, traj.final().eta, traj.final().dcr))
+        ranked = list(_pool(pool_rows))
         for r in ranked:
             assert 0.93 < r.final.eta < 0.94
             assert r.final.dcr < 2e-9
-        front = pareto_front(ranked)
+        front = list(pareto_front(_pool(pool_rows)))
         cheapest = min(ranked, key=lambda r: r.cost)
         assert cheapest.cost == 252
         assert cheapest in front
-        assert front[0] is cheapest
+        assert front[0] == cheapest

@@ -14,6 +14,7 @@ from espd import (
     mc_level,
     oracle_report,
 )
+from espd import _kernels, oracle
 
 BASELINE = ComponentParams(p=0.98, P_act=0.97, Q_err=0.002)
 
@@ -87,6 +88,22 @@ class TestMonteCarlo:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match="trials"):
             mc_level(DetectorPerformance(0.5, 0.0), BASELINE, LevelConfig(3, 1), 0, 1)
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, 2.0, True, "2"])
+    @pytest.mark.parametrize("field", ["trials", "threads"])
+    def test_counts_must_be_positive_integers(self, monkeypatch, field, bad):
+        # rejected before any block runs or any pool thread starts
+        def started(*args, **kwargs):
+            raise AssertionError("work started before the counts were checked")
+
+        monkeypatch.setattr(oracle, "ThreadPoolExecutor", started)
+        monkeypatch.setattr(_kernels, "mc_block", started)
+        counts = {"trials": 200_000, "threads": 2, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            mc_level(
+                DetectorPerformance(0.5, 0.0), BASELINE, LevelConfig(3, 1),
+                counts["trials"], 1, threads=counts["threads"],
+            )
 
     def test_agrees_with_enumeration(self):
         rng = np.random.default_rng(17)

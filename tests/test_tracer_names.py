@@ -56,3 +56,31 @@ def test_search_metrics_count_one_kernel_call_per_n():
     assert all(f > 0 for f in frontiers)  # every level is expanded
     assert m["kernels.level_map_batch.calls"] == n_max * max_levels
     assert m["optimize.states_expanded"] == n_max * sum(frontiers)
+
+
+def test_cli_search_is_traced_under_its_name(tmp_path):
+    # The benchmark's search span wraps ``espd.optimize.search_schedules``;
+    # the CLI must still reach the search through that name, and the span's
+    # row count must be the CSV's.
+    tracer_mod = _load_tracer()
+    from espd.cli import main
+
+    out = tmp_path / "s.csv"
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        code = main(
+            ["optimize", "--de-target", "0.93", "--dcr-target", "1e-3", "--max-levels", "3",
+             "--n-max", "4", "--top", "0", "--out", str(out)]
+        )
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    rows = len(out.read_text().splitlines()) - 1
+    spans = tracer.dump()["spans"]
+    (search,) = [s for s in spans if s["name"] == "optimize.search_schedules"]
+    assert rows > 0
+    assert search["attrs"]["returned"] == rows
+    kernels = [s for s in spans if s["name"] == "kernels.level_map_batch"]
+    assert kernels
+    assert all(s["parent"] == search["id"] for s in kernels)
