@@ -32,7 +32,6 @@ from .dynamics import (
     DetectorPerformance,
     LevelConfig,
     Schedule,
-    check_int,
     check_prob,
     iterate_schedule,
 )
@@ -284,10 +283,9 @@ def cmd_optimize(args) -> int:
         results = optimize.pareto_front(results)
     out_path = _resolve_out(args.out, "schedules.csv")
     lines = ["schedule,cost,de,dcr"]
-    # straight from the columns: tolist() gives Python floats, formatted as _fmt does
     columns = (results.costs.tolist(), results.eta.tolist(), results.dcr.tolist())
     for label, cost, eta, dcr in zip(results.labels(), *columns):
-        lines.append(f"{label},{cost},{eta:.17g},{dcr:.17g}")
+        lines.append(f"{label},{cost},{_fmt(eta)},{_fmt(dcr)}")
     try:
         _atomic_write(out_path, "\n".join(lines) + "\n")
     except OSError as exc:
@@ -309,15 +307,14 @@ def cmd_oracle(args) -> int:
                 f"n must be <= {oracle.ENUM_MAX_N} for enumeration, got {args.n}"
             )
         config = LevelConfig(args.n, args.k)
-        check_int("trials", args.trials, 1)
-        check_int("threads", args.threads, 1)
+        # oracle_report checks the trial and thread counts before any work
+        report = oracle.oracle_report(
+            init, params, config, args.trials, args.seed, threads=args.threads
+        )
     except (ConfigError, ValueError) as exc:
         _err(str(exc))
         return 2
 
-    report = oracle.oracle_report(
-        init, params, config, args.trials, args.seed, threads=args.threads
-    )
     enum_ok = report.enum_abs_err_de <= 1e-12 and report.enum_abs_err_dcr <= 1e-12
     # The sampling band is centered on the enumerated truth; the estimate's
     # own stderr collapses to zero when every trial lands the same way.

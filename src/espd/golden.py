@@ -42,6 +42,7 @@ __all__ = [
     "series_trajectory",
     "evaluate_table",
     "figure_panels",
+    "run_label",
     "schedule_label",
 ]
 
@@ -566,19 +567,22 @@ def evaluate_table(number: int, variant: str = "exact") -> TableReport:
     )
 
 
-def schedule_label(schedule: tuple[LevelConfig, ...]) -> str:
-    """Compact comma-free run-length label, e.g. ``4:1+4:2x7``."""
+def run_label(names: list[str]) -> str:
+    """Run-length join of per-level names, e.g. ``4:1+4:2x7``."""
     parts = []
     i = 0
-    while i < len(schedule):
-        j = i
-        while j < len(schedule) and schedule[j] == schedule[i]:
+    while i < len(names):
+        j = i + 1
+        while j < len(names) and names[j] == names[i]:
             j += 1
-        run = j - i
-        cfg = schedule[i]
-        parts.append(f"{cfg.n}:{cfg.k}" + (f"x{run}" if run > 1 else ""))
+        parts.append(names[i] if j == i + 1 else f"{names[i]}x{j - i}")
         i = j
     return "+".join(parts)
+
+
+def schedule_label(schedule: tuple[LevelConfig, ...]) -> str:
+    """Compact comma-free run-length label, e.g. ``4:1+4:2x7``."""
+    return run_label([f"{cfg.n}:{cfg.k}" for cfg in schedule])
 
 
 def figure_panels(number: int) -> list[tuple[str, list[tuple[int, str, float]]]]:

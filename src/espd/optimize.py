@@ -45,6 +45,7 @@ from .dynamics import (
     check_number,
     iterate_schedule,  # noqa: F401 -- looked up here by perfbench/tracer.py
 )
+from .golden import run_label
 
 __all__ = [
     "OptimizationQuery",
@@ -143,18 +144,10 @@ class SearchResult(Sequence):
         levels, read straight from the code.
         """
         names = [f"{cfg.n}:{cfg.k}" for cfg in self.configs]
-        labels = []
-        for code, length in zip(self.codes.tolist(), self.lengths.tolist()):
-            cis = _config_indices(code, length)
-            parts = []
-            i = 0
-            for j in range(1, length + 1):
-                if j == length or cis[j] != cis[i]:
-                    name = names[cis[i] - 1]
-                    parts.append(name if j - i == 1 else f"{name}x{j - i}")
-                    i = j
-            labels.append("+".join(parts))
-        return labels
+        return [
+            run_label([names[ci - 1] for ci in _config_indices(code, length)])
+            for code, length in zip(self.codes.tolist(), self.lengths.tolist())
+        ]
 
 
 def resource_cost(schedule: Schedule) -> int:

@@ -166,9 +166,10 @@ def oracle_report(
     threads: int = 1,
 ) -> OracleReport:
     """Run all three routes for one level map and assemble the comparison."""
+    # Monte Carlo first: its count checks then reject bad input before any work
+    mc_de, mc_dcr, se_de, se_dcr = mc_level(det, params, config, trials, seed, threads)
     closed = level_map(det, params, config)
     enum_de, enum_dcr = enumerate_level(det, params, config)
-    mc_de, mc_dcr, se_de, se_dcr = mc_level(det, params, config, trials, seed, threads)
     return OracleReport(
         closed_de=closed.eta,
         closed_dcr=closed.dcr,

@@ -251,12 +251,14 @@ class TestOracle:
 
     @pytest.mark.parametrize("flag", ["--trials", "--threads"])
     def test_zero_count_rejected(self, monkeypatch, capsys, flag):
-        from espd import oracle
+        from espd import _kernels, oracle
 
         def started(*args, **kwargs):
-            raise AssertionError("oracle ran before the counts were checked")
+            raise AssertionError("work started before the counts were checked")
 
-        monkeypatch.setattr(oracle, "oracle_report", started)
+        for owner, name in ((oracle, "enumerate_level"), (oracle, "ThreadPoolExecutor"),
+                            (_kernels, "mc_block")):
+            monkeypatch.setattr(owner, name, started)
         assert main(["oracle", "--n", "4", "--k", "1", flag, "0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag[2:] in err
