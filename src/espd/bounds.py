@@ -82,6 +82,18 @@ def decision_poly(a: float, n: int, k: int, x: float) -> float:
     return a * binomial.pmf_at(n, xp, yp, k - 1) + tail
 
 
+def _noise_sum(d_s: float, Q: float, n: int, k: int) -> float:
+    """Check the dark-count inputs and return their sum ``x = Q + d_s``."""
+    check_prob("d_s", d_s)
+    check_prob("Q", Q)
+    x = Q + d_s
+    if x > 1.0:
+        raise ValueError(f"Q + d_s must be <= 1, got {x!r}")
+    check_int("n", n, 1, N_MAX)
+    check_int("k", k, 1, n)
+    return x
+
+
 def dcr_upper_bound(d_s: float, Q: float, n: int, k: int) -> float:
     """Efficiency-independent upper bound on the next-level dark-count rate.
 
@@ -89,11 +101,7 @@ def dcr_upper_bound(d_s: float, Q: float, n: int, k: int) -> float:
     ``k - 1 >= n * (Q + d_s)``; outside that region the bound is not
     established and a :class:`PreconditionError` is raised.
     """
-    check_prob("d_s", d_s)
-    check_prob("Q", Q)
-    x = Q + d_s
-    if x > 1.0:
-        raise ValueError(f"Q + d_s must be <= 1, got {x!r}")
+    x = _noise_sum(d_s, Q, n, k)
     if k - 1 < n * x:
         raise PreconditionError(
             f"dcr_upper_bound requires k - 1 >= n * (Q + d_s); "
@@ -108,8 +116,7 @@ def dcr_estimate(d_s: float, Q: float, n: int, k: int) -> float:
     Keeps only the two dominant terms of the upper bound; intended for the
     small-probability regime ``C(n, j) * (Q + d_s) << 1`` (not enforced).
     """
-    BoundInputs(d_s, n, k, min(Q + d_s, 1.0))
-    x = Q + d_s
+    x = _noise_sum(d_s, Q, n, k)
     return x ** (k - 1) * (d_s * math.comb(n, k - 1) + math.comb(n, k) * x)
 
 
@@ -125,7 +132,8 @@ def de_lower_bound(eta_s: float, p: float, P: float, n: int, k: int) -> float:
     check_prob("eta_s", eta_s)
     check_prob("p", p)
     check_prob("P", P)
-    return p**n * decision_poly(eta_s, n, k, P * eta_s)
+    # decision_poly checks n and k before p**n uses n
+    return decision_poly(eta_s, n, k, P * eta_s) * p**n
 
 
 def de_gain(x: float, p: float, P: float, n: int, k: int) -> float:
@@ -135,9 +143,7 @@ def de_gain(x: float, p: float, P: float, n: int, k: int) -> float:
     x; zeros are candidate steady states.
     """
     check_prob("x", x)
-    check_prob("p", p)
-    check_prob("P", P)
-    return p**n * decision_poly(x, n, k, P * x) - x
+    return de_lower_bound(x, p, P, n, k) - x
 
 
 def find_fixed_points(

@@ -13,6 +13,14 @@ partial file.  Exit codes: 0 success, 1 compute or tolerance failure,
 2 usage or validation failure.  When ``--out``/``--out-dir`` is omitted,
 relative defaults resolve against ``$ESPD_OUT_DIR`` (falling back to the
 working directory).
+
+Errors: :func:`main` is the one place that turns an exception into an exit
+code.  A ``ValueError`` -- from the library's own checks or from the few
+checks kept here -- prints ``error: <msg>`` and exits 2; an ``OSError``
+prints ``error: <msg>`` and exits 1.  Commands check nothing the library
+already checks under the same name.  ``iterate`` names the config file in
+front of every error in it; ``qkd`` reports a failed threshold computation
+with exit 1.
 """
 
 from __future__ import annotations
@@ -39,10 +47,6 @@ from .dynamics import (
 __all__ = ["main"]
 
 _BASELINE = {"eta0": 0.59, "d0": 1e-2, "p": 0.98, "P": 0.97, "Q": 0.002}
-
-
-class ConfigError(Exception):
-    """Validation failure; maps to exit code 2."""
 
 
 def _fmt(x: float) -> str:
@@ -91,71 +95,50 @@ class RunConfig:
 
 
 def _load_json(path: Path) -> dict:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
+    data = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
+        raise ValueError("top level must be a JSON object")
     return data
+
+
+def _model(values) -> tuple[DetectorPerformance, ComponentParams]:
+    """Check the five model inputs under ``_BASELINE``'s names and build the model."""
+    eta0, d0, p, P, Q = (check_prob(key, values[key]) for key in _BASELINE)
+    return DetectorPerformance(eta0, d0), ComponentParams(p, P, Q)
 
 
 def _parse_run_config(path: Path, levels_override: int | None) -> RunConfig:
     data = _load_json(path)
-    known = {"eta0", "d0", "p", "P", "Q", "schedule", "max_levels", "out"}
+    known = {*_BASELINE, "schedule", "max_levels", "out"}
     for key in data:
         if key not in known:
-            raise ConfigError(f"{path}: unknown key {key!r}")
-    values = {}
-    for key in ("eta0", "d0", "p", "P", "Q"):
+            raise ValueError(f"unknown key {key!r}")
+    for key in _BASELINE:
         if key not in data:
-            raise ConfigError(f"{path}: missing key {key!r}")
-        values[key] = check_prob(key, data[key])
+            raise ValueError(f"missing key {key!r}")
+    init, params = _model(data)
 
     raw_schedule = data.get("schedule")
     if not isinstance(raw_schedule, list) or len(raw_schedule) == 0:
-        raise ConfigError(f"{path}: schedule must be a non-empty list of [n, k] pairs")
+        raise ValueError("schedule must be a non-empty list of [n, k] pairs")
     schedule = []
     for idx, entry in enumerate(raw_schedule):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(v, int) for v in entry)
-        ):
-            raise ConfigError(
-                f"{path}: schedule[{idx}] must be an [n, k] pair of integers"
-            )
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ValueError(f"schedule[{idx}] must be an [n, k] pair of integers")
         try:
-            schedule.append(LevelConfig(entry[0], entry[1]))
+            schedule.append(LevelConfig(*entry))
         except ValueError as exc:
-            raise ConfigError(f"{path}: schedule[{idx}]: {exc}") from None
+            raise ValueError(f"schedule[{idx}]: {exc}") from None
 
     max_levels = data.get("max_levels", len(schedule))
     if levels_override is not None:
         max_levels = levels_override
-    try:
-        rule = ConvergenceRule(max_levels=max_levels, eta_tol=0.0, dcr_tol=0.0)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    rule = ConvergenceRule(max_levels=max_levels, eta_tol=0.0, dcr_tol=0.0)
 
     out = data.get("out")
     if out is not None and not isinstance(out, str):
-        raise ConfigError(f"{path}: out must be a string path")
-
-    return RunConfig(
-        init=DetectorPerformance(values["eta0"], values["d0"]),
-        schedule=Schedule(
-            ComponentParams(values["p"], values["P"], values["Q"]), tuple(schedule)
-        ),
-        rule=rule,
-        out=out,
-    )
+        raise ValueError("out must be a string path")
+    return RunConfig(init, Schedule(params, tuple(schedule)), rule, out)
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -165,24 +148,13 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
                         help="seed detector dark-count rate (default %(default)s)")
     parser.add_argument("--p", type=float, default=_BASELINE["p"],
                         help="module transmission (default %(default)s)")
-    parser.add_argument("--P", dest="P_act", type=float, default=_BASELINE["P"],
+    # dest is the _BASELINE key, so _model reads vars(args); metavar keeps --help
+    parser.add_argument("--P", metavar="P_ACT", type=float, default=_BASELINE["P"],
                         help="auxiliary non-vacuum probability, non-vacuum input "
                              "(default %(default)s)")
-    parser.add_argument("--Q", dest="Q_err", type=float, default=_BASELINE["Q"],
+    parser.add_argument("--Q", metavar="Q_ERR", type=float, default=_BASELINE["Q"],
                         help="auxiliary non-vacuum probability, vacuum input "
                              "(default %(default)s)")
-
-
-def _model_from_args(args) -> tuple[DetectorPerformance, ComponentParams]:
-    init = DetectorPerformance(
-        check_prob("eta0", args.eta0), check_prob("d0", args.d0)
-    )
-    params = ComponentParams(
-        check_prob("p", args.p),
-        check_prob("P", args.P_act),
-        check_prob("Q", args.Q_err),
-    )
-    return init, params
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +163,14 @@ def _model_from_args(args) -> tuple[DetectorPerformance, ComponentParams]:
 
 
 def cmd_iterate(args) -> int:
+    path = Path(args.config)
     try:
-        config = _parse_run_config(Path(args.config), args.levels)
-    except (ConfigError, ValueError) as exc:
-        _err(str(exc))
-        return 2
+        config = _parse_run_config(path, args.levels)
+    except (OSError, ValueError) as exc:
+        # an unreadable config is bad input (exit 2), like an invalid one
+        if isinstance(exc, json.JSONDecodeError):
+            exc = f"line {exc.lineno} column {exc.colno}: {exc.msg}"
+        raise ValueError(f"{path}: {exc}") from None
 
     out_path = Path(args.out) if args.out else (
         Path(config.out) if config.out else _resolve_out(None, "trajectory.csv")
@@ -206,19 +181,14 @@ def cmd_iterate(args) -> int:
         n = str(pt.config.n) if pt.config else ""
         k = str(pt.config.k) if pt.config else ""
         lines.append(f"{pt.level},{n},{k},{_fmt(pt.perf.eta)},{_fmt(pt.perf.dcr)}")
-    try:
-        _atomic_write(out_path, "\n".join(lines) + "\n")
-    except OSError as exc:
-        _err(str(exc))
-        return 1
+    _atomic_write(out_path, "\n".join(lines) + "\n")
     print(f"wrote {out_path} ({len(traj.points)} levels)")
     return 0
 
 
 def cmd_tables(args) -> int:
     if args.table not in golden.TABLES:
-        _err(f"unknown table {args.table}; available: {sorted(golden.TABLES)}")
-        return 2
+        raise ValueError(f"unknown table {args.table}; available: {sorted(golden.TABLES)}")
     report = golden.evaluate_table(args.table, args.variant)
     out_path = _resolve_out(args.out, f"table{args.table}_report.csv")
 
@@ -235,11 +205,7 @@ def cmd_tables(args) -> int:
             f"{_fmt(c.dcr_expected)},{_fmt(c.dcr_computed)},"
             f"{c.dcr_computed:.1e},{_fmt(c.dcr_rel_err)},{int(c.dcr_ok)}"
         )
-    try:
-        _atomic_write(out_path, "\n".join(lines) + "\n")
-    except OSError as exc:
-        _err(str(exc))
-        return 1
+    _atomic_write(out_path, "\n".join(lines) + "\n")
 
     for c in report.cells:
         if not (c.de_ok and c.dcr_ok):
@@ -261,23 +227,18 @@ def cmd_tables(args) -> int:
 def cmd_optimize(args) -> int:
     from . import optimize  # loads numpy, which the other commands never need
 
-    try:
-        init, params = _model_from_args(args)
-        if args.top < 0:
-            raise ConfigError(f"top must be >= 0 (0 lists everything), got {args.top}")
-        top = None if args.top == 0 else args.top
-        query = optimize.OptimizationQuery(
-            init=init,
-            params=params,
-            de_target=args.de_target,
-            dcr_target=args.dcr_target,
-            max_levels=args.max_levels,
-            n_max=args.n_max,
-        )
-    except (ConfigError, ValueError) as exc:
-        _err(str(exc))
-        return 2
-
+    init, params = _model(vars(args))
+    if args.top < 0:
+        raise ValueError(f"top must be >= 0 (0 lists everything), got {args.top}")
+    query = optimize.OptimizationQuery(
+        init=init,
+        params=params,
+        de_target=args.de_target,
+        dcr_target=args.dcr_target,
+        max_levels=args.max_levels,
+        n_max=args.n_max,
+    )
+    top = None if args.top == 0 else args.top
     results = optimize.search_schedules(query, top=top)
     if args.pareto:
         results = optimize.pareto_front(results)
@@ -286,11 +247,7 @@ def cmd_optimize(args) -> int:
     columns = (results.costs.tolist(), results.eta.tolist(), results.dcr.tolist())
     for label, cost, eta, dcr in zip(results.labels(), *columns):
         lines.append(f"{label},{cost},{_fmt(eta)},{_fmt(dcr)}")
-    try:
-        _atomic_write(out_path, "\n".join(lines) + "\n")
-    except OSError as exc:
-        _err(str(exc))
-        return 1
+    _atomic_write(out_path, "\n".join(lines) + "\n")
     if not results:
         print("no feasible schedule")
     print(f"wrote {out_path} ({len(results)} schedules)")
@@ -300,20 +257,15 @@ def cmd_optimize(args) -> int:
 def cmd_oracle(args) -> int:
     from . import oracle  # loads numpy, which the other commands never need
 
-    try:
-        init, params = _model_from_args(args)
-        if args.n > oracle.ENUM_MAX_N:
-            raise ConfigError(
-                f"n must be <= {oracle.ENUM_MAX_N} for enumeration, got {args.n}"
-            )
-        config = LevelConfig(args.n, args.k)
-        # oracle_report checks the trial and thread counts before any work
-        report = oracle.oracle_report(
-            init, params, config, args.trials, args.seed, threads=args.threads
-        )
-    except (ConfigError, ValueError) as exc:
-        _err(str(exc))
-        return 2
+    init, params = _model(vars(args))
+    # the enumeration cap fails here, before oracle_report runs its Monte Carlo route
+    if args.n > oracle.ENUM_MAX_N:
+        raise ValueError(f"n must be <= {oracle.ENUM_MAX_N} for enumeration, got {args.n}")
+    config = LevelConfig(args.n, args.k)
+    # oracle_report checks the trial and thread counts before any work
+    report = oracle.oracle_report(
+        init, params, config, args.trials, args.seed, threads=args.threads
+    )
 
     enum_ok = report.enum_abs_err_de <= 1e-12 and report.enum_abs_err_dcr <= 1e-12
     # The sampling band is centered on the enumerated truth; the estimate's
@@ -347,21 +299,15 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_qkd(args) -> int:
-    try:
-        scn = qkd.QkdScenario(e_th=args.e_th, e_c=args.e_c, e=args.e)
-        det = DetectorPerformance(
-            check_prob("eta", args.eta), check_prob("dcr", args.dcr)
-        )
-        if det.eta <= 0.0:
-            raise ConfigError("eta must be > 0")
-    except (ConfigError, ValueError) as exc:
-        _err(str(exc))
-        return 2
-
+    scn = qkd.QkdScenario(e_th=args.e_th, e_c=args.e_c, e=args.e)
+    det = DetectorPerformance(args.eta, args.dcr)
+    if det.eta <= 0.0:
+        raise ValueError("eta must be > 0")
     try:
         g_approx = qkd.gamma_approx(scn, det)
         g_exact = None if args.approx else qkd.gamma_exact(scn, det)
     except ValueError as exc:
+        # valid inputs whose threshold cannot be computed: a compute failure
         _err(str(exc))
         return 1
 
@@ -375,39 +321,23 @@ def cmd_qkd(args) -> int:
 
 def cmd_figdata(args) -> int:
     if args.figure not in golden.FIGURES:
-        _err(f"unknown figure {args.figure}; available: {sorted(golden.FIGURES)}")
-        return 2
+        raise ValueError(f"unknown figure {args.figure}; available: {sorted(golden.FIGURES)}")
     out_dir = Path(args.out_dir) if args.out_dir else _out_dir()
-    panels = golden.figure_panels(args.figure)
     written = []
-    try:
-        for stem, rows in panels:
-            lines = ["level,series_label,value"]
-            for level, label, value in rows:
-                lines.append(f"{level},{label},{_fmt(value)}")
-            path = out_dir / f"{stem}.csv"
-            _atomic_write(path, "\n".join(lines) + "\n")
-            written.append(path)
-    except OSError as exc:
-        _err(str(exc))
-        return 1
+    for stem, rows in golden.figure_panels(args.figure):
+        lines = ["level,series_label,value"]
+        for level, label, value in rows:
+            lines.append(f"{level},{label},{_fmt(value)}")
+        path = out_dir / f"{stem}.csv"
+        _atomic_write(path, "\n".join(lines) + "\n")
+        written.append(path)
     for path in written:
         print(f"wrote {path}")
     return 0
 
 
 def cmd_fixedpoints(args) -> int:
-    try:
-        report = bounds.find_fixed_points(
-            check_prob("p", args.p),
-            check_prob("P", args.P_act),
-            args.n,
-            args.k,
-            grid=args.grid,
-        )
-    except (ConfigError, ValueError) as exc:
-        _err(str(exc))
-        return 2
+    report = bounds.find_fixed_points(args.p, args.P_act, args.n, args.k, grid=args.grid)
     if report.roots:
         for root in report.roots:
             print(f"root={_fmt(root)}")
@@ -502,7 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        _err(str(exc))
+        return 2
+    except OSError as exc:
+        _err(str(exc))
+        return 1
 
 
 if __name__ == "__main__":

@@ -45,9 +45,17 @@ class TestDecisionPoly:
          (4, True, "k"), (4, 2.5, "k"), (4, "3", "k"), (4, 0, "k"), (4, 5, "k")],
     )
     def test_counts_must_be_integers_in_range(self, n, k, field):
-        # True would otherwise pass as n = k = 1 (decision_poly(0.5, True, True, 0.3) == 0.65)
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            decision_poly(0.5, n, k, 0.3)
+        # True would otherwise pass as n = k = 1 (decision_poly(0.5, True, True, 0.3) == 0.65);
+        # every bound checks the counts before it does arithmetic with them
+        for call in (
+            lambda: decision_poly(0.5, n, k, 0.3),
+            lambda: dcr_upper_bound(1e-3, 1e-3, n, k),
+            lambda: dcr_estimate(1e-3, 1e-3, n, k),
+            lambda: de_lower_bound(0.5, 0.9, 0.9, n, k),
+            lambda: de_gain(0.5, 0.9, 0.9, n, k),
+        ):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                call()
 
     def test_monotone_on_grid(self):
         a, n, k = 0.5, 6, 3
@@ -115,6 +123,18 @@ class TestDcrEstimate:
     def test_zero_noise(self):
         assert dcr_estimate(0.0, 0.0, 4, 2) == 0.0
 
+    @pytest.mark.parametrize(
+        "d_s,Q,match",
+        [(0.1, 1.5, "Q must be in"), (0.6, -0.5, "Q must be in"),
+         (0.1, "0.1", "Q must be a number"), (True, 0.1, "d_s must be a number"),
+         (0.6, 0.5, r"Q \+ d_s must be <= 1")],
+    )
+    def test_noise_inputs_checked(self, d_s, Q, match):
+        # the estimate and the bound share one check of (d_s, Q)
+        for bound in (dcr_estimate, dcr_upper_bound):
+            with pytest.raises(ValueError, match=match):
+                bound(d_s, Q, 4, 2)
+
     def test_threshold_one_closed_form(self):
         d_s, Q, n = 1e-3, 2e-3, 5
         assert dcr_estimate(d_s, Q, n, 1) == pytest.approx(
@@ -147,6 +167,13 @@ class TestDeLowerBound:
 
 
 class TestDeGain:
+    def test_definitional_identity(self):
+        for x in np.linspace(0.0, 1.0, 41):
+            x = float(x)
+            survive = 0.98**4 * decision_poly(x, 4, 2, 0.97 * x)
+            assert de_lower_bound(x, 0.98, 0.97, 4, 2) == survive
+            assert de_gain(x, 0.98, 0.97, 4, 2) == survive - x
+
     def test_origin_is_root(self):
         assert de_gain(0.0, 0.9, 0.9, 4, 2) == 0.0
         assert de_gain(0.0, 0.9, 0.9, 4, 1) == 0.0

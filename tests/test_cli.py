@@ -83,13 +83,16 @@ class TestIterate:
             {"max_levels": 1001},
             {"eta_tol": float("nan")},
             {"eta0": 10**400},
+            {"schedule": [[4, 2.0]]},
+            {"schedule": [[4]]},
         ],
     )
     def test_non_numeric_or_out_of_cap_field_rejected(self, tmp_path, capsys, field):
         cfg = write_config(tmp_path / "cfg.json", **field)
         assert main(["iterate", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and next(iter(field)) in err
+        # every error in a run.json names the file
+        assert err.startswith(f"error: {cfg}: ") and next(iter(field)) in err
 
     def test_levels_flag_capped(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
@@ -285,6 +288,12 @@ class TestQkd:
         assert main(["qkd", "--e-th", "0.1", "--e-c", "0.2",
                      "--eta", "0.9", "--dcr", "1e-6"]) == 2
 
+    def test_compute_failure_exits_1(self, capsys):
+        # valid inputs, but e = 1 drives the exact denominator below zero
+        assert main(["qkd", "--e-th", "0.11", "--e-c", "0.02", "--e", "1",
+                     "--eta", "0.9", "--dcr", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: gamma denominator")
+
     def test_approx_only(self, capsys):
         assert main(["qkd", "--e-th", "0.11", "--e-c", "0.02",
                      "--eta", "0.9", "--dcr", "1e-6", "--approx"]) == 0
@@ -351,3 +360,55 @@ class TestFixedPoints:
     def test_grid_above_cap_rejected(self, capsys):
         assert main(["fixedpoints", "--n", "4", "--k", "2", "--grid", "100000000"]) == 2
         assert capsys.readouterr().err.startswith("error: grid must be")
+
+
+class TestErrorBoundary:
+    """main() turns ValueError into exit 2 and OSError into exit 1, one line each."""
+
+    @staticmethod
+    def _argv(command, tmp_path, out):
+        cfg = write_config(tmp_path / "cfg.json")
+        return {
+            "iterate": ["iterate", str(cfg), "--out", out],
+            "tables": ["tables", "--table", "2", "--out", out],
+            "optimize": ["optimize", "--de-target", "0.9", "--dcr-target", "1e-3",
+                         "--max-levels", "2", "--n-max", "4", "--out", out],
+            "oracle": ["oracle", "--n", "4", "--k", "1", "--trials", "1000"],
+            "qkd": ["qkd", "--e-th", "0.11", "--e-c", "0.02", "--eta", "0.9", "--dcr", "1e-6"],
+            "figdata": ["figdata", "--figure", "5", "--out-dir", str(tmp_path / "figs")],
+            "fixedpoints": ["fixedpoints", "--n", "4", "--k", "2", "--grid", "100"],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["iterate", "tables", "optimize"])
+    def test_unwritable_out(self, tmp_path, capsys, command):
+        (tmp_path / "blocker").write_text("file, not a directory")
+        out = tmp_path / "blocker" / "sub" / "out.csv"
+        assert main(self._argv(command, tmp_path, str(out))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["blocker", "cfg.json"]
+
+    @pytest.mark.parametrize(
+        "command,module,name",
+        [
+            ("iterate", "espd.cli", "iterate_schedule"),
+            ("tables", "espd.golden", "evaluate_table"),
+            ("optimize", "espd.optimize", "search_schedules"),
+            ("oracle", "espd.oracle", "oracle_report"),
+            ("qkd", "espd.qkd", "QkdScenario"),
+            ("figdata", "espd.golden", "figure_panels"),
+            ("fixedpoints", "espd.bounds", "find_fixed_points"),
+        ],
+    )
+    @pytest.mark.parametrize("exc,code", [(ValueError, 2), (OSError, 1)])
+    def test_library_error_mid_command(
+        self, tmp_path, capsys, monkeypatch, command, module, name, exc, code
+    ):
+        def fail(*args, **kwargs):
+            raise exc("injected")
+
+        monkeypatch.setattr(f"{module}.{name}", fail)
+        out = tmp_path / "out.csv"
+        assert main(self._argv(command, tmp_path, str(out))) == code
+        assert capsys.readouterr().err == "error: injected\n"
+        assert not out.exists()
