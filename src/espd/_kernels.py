@@ -14,11 +14,12 @@ Three kernels carry the bulk work:
 
 The Monte Carlo stream is counter-indexed (draw ``i`` of a block is a pure
 function of the block seed and ``i``), so tallies are bit-identical across
-block scheduling and thread counts.
+block scheduling, thread counts and the row chunks a block is cut into.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "level_map_batch",
     "vote_mass",
     "mc_block",
+    "threshold53",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -42,7 +44,11 @@ _U64 = np.uint64
 _GOLDEN64 = _U64(_GOLDEN)
 _MIX1_64 = _U64(_MIX1)
 _MIX2_64 = _U64(_MIX2)
-_INV53 = 2.0**-53
+_TWO53 = 2.0**53
+
+# Draws per row chunk of mc_block: its uint64 buffers of this size (512 KiB
+# each) stay in cache, where a whole block of (3n + 2)-draw trials would not.
+MC_CHUNK_DRAWS = 1 << 16
 
 
 def backend_name() -> str:
@@ -98,12 +104,14 @@ def vote_mass(probs: np.ndarray, k: int) -> float:
     return float(pr[pop >= k].sum())
 
 
-def _uniforms(state0: int, idx: np.ndarray) -> np.ndarray:
-    z = _U64(state0) + (idx + _U64(1)) * _GOLDEN64
-    z = (z ^ (z >> _U64(30))) * _MIX1_64
-    z = (z ^ (z >> _U64(27))) * _MIX2_64
-    z = z ^ (z >> _U64(31))
-    return (z >> _U64(11)).astype(np.float64) * _INV53
+def threshold53(x: float) -> int:
+    """``ceil(x * 2**53)`` clamped to ``[0, 2**53]``.
+
+    For an integer ``m < 2**53``, ``m * 2**-53 < x`` holds exactly when
+    ``m < threshold53(x)``: both scalings by a power of two are exact, and
+    ``m < y`` for an integer ``m`` means ``m < ceil(y)``.
+    """
+    return min(max(math.ceil(x * _TWO53), 0), 1 << 53)
 
 
 def mc_block(
@@ -122,24 +130,49 @@ def mc_block(
     Each trial owns 3n + 2 counter-indexed draws: n module-survival draws,
     n + 1 detector draws for the signal trial, n + 1 for the vacuum trial.
     Unused draws (after an early loss) still occupy their slots, so draw
-    ``i`` of trial ``t`` sits at a fixed counter.
+    ``i`` of trial ``t`` sits at counter ``t * (3n + 2) + i``.
+
+    The trials run in row chunks of about ``MC_CHUNK_DRAWS`` draws; the
+    splitmix64 steps of a chunk run in place in two preallocated uint64
+    buffers, so memory stays flat in ``ntrials`` and ``n``.  A draw is the
+    53-bit integer ``m = z >> 11``, compared against ``threshold53(x)``
+    instead of ``m * 2**-53`` against ``x``, which is the same test
+    exactly.  Neither step moves a draw or changes a comparison, so the
+    tallies are those of converting the whole block to floats at once.
     """
     per = 3 * n + 2
-    idx = np.arange(ntrials * per, dtype=np.uint64).reshape(ntrials, per)
-    u = _uniforms(state0, idx)
-
-    fail = u[:, :n] >= p
-    lost = fail.any(axis=1)
-    first_fail = np.argmax(fail, axis=1)
-    active = np.where(lost, first_fail + 1, n)
-
+    rows = MC_CHUNK_DRAWS // per
+    t_p, t_pos, t_qpos, t_psig, t_qsig = (
+        _U64(threshold53(x)) for x in (p, p_pos, q_pos, p_sig, q_sig)
+    )
     cols = np.arange(n)
-    aux_p = np.where(cols[None, :] < active[:, None], p_pos, q_pos)
-    fires = (u[:, n : 2 * n] < aux_p).sum(axis=1)
-    fires += u[:, 2 * n] < np.where(lost, q_sig, p_sig)
-    de_count = int((fires >= k).sum())
+    # counter j of a chunk adds j * golden to the chunk's base (mod 2**64)
+    steps = np.arange(rows * per, dtype=np.uint64) * _GOLDEN64
+    z = np.empty(rows * per, dtype=np.uint64)
+    tmp = np.empty_like(z)
+    de_count = dcr_count = 0
+    for t0 in range(0, ntrials, rows):
+        size = min(rows, ntrials - t0) * per
+        zc, tc = z[:size], tmp[:size]
+        np.add(steps[:size], _U64((state0 + (t0 * per + 1) * _GOLDEN) & _MASK64), out=zc)
+        for shift, mult in ((30, _MIX1_64), (27, _MIX2_64)):
+            np.right_shift(zc, _U64(shift), out=tc)
+            np.bitwise_xor(zc, tc, out=zc)
+            np.multiply(zc, mult, out=zc)
+        np.right_shift(zc, _U64(31), out=tc)
+        np.bitwise_xor(zc, tc, out=zc)
+        np.right_shift(zc, _U64(11), out=zc)
+        m = zc.reshape(-1, per)
 
-    vac_fires = (u[:, 2 * n + 1 : 3 * n + 1] < q_pos).sum(axis=1)
-    vac_fires += u[:, 3 * n + 1] < q_sig
-    dcr_count = int((vac_fires >= k).sum())
+        fail = m[:, :n] >= t_p
+        lost = fail.any(axis=1)
+        active = np.where(lost, np.argmax(fail, axis=1) + 1, n)
+        aux_t = np.where(cols[None, :] < active[:, None], t_pos, t_qpos)
+        fires = (m[:, n : 2 * n] < aux_t).sum(axis=1)
+        fires += m[:, 2 * n] < np.where(lost, t_qsig, t_psig)
+        de_count += int(np.count_nonzero(fires >= k))
+
+        vac_fires = (m[:, 2 * n + 1 : 3 * n + 1] < t_qpos).sum(axis=1)
+        vac_fires += m[:, 3 * n + 1] < t_qsig
+        dcr_count += int(np.count_nonzero(vac_fires >= k))
     return de_count, dcr_count

@@ -262,7 +262,7 @@ def cmd_oracle(args) -> int:
     if args.n > oracle.ENUM_MAX_N:
         raise ValueError(f"n must be <= {oracle.ENUM_MAX_N} for enumeration, got {args.n}")
     config = LevelConfig(args.n, args.k)
-    # oracle_report checks the trial and thread counts before any work
+    # oracle_report checks the trial and thread counts and the seed before any work
     report = oracle.oracle_report(
         init, params, config, args.trials, args.seed, threads=args.threads
     )

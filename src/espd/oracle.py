@@ -28,6 +28,7 @@ from .dynamics import ComponentParams, DetectorPerformance, LevelConfig, check_i
 __all__ = [
     "ENUM_MAX_N",
     "MC_BLOCK_TRIALS",
+    "MC_MAX_THREADS",
     "OracleReport",
     "enumerate_level",
     "mc_level",
@@ -40,6 +41,9 @@ ENUM_MAX_N = 16
 # Fixed block size: trial t of block b consumes draws indexed from the
 # block's own substream, so the partition never affects the tallies.
 MC_BLOCK_TRIALS = 65536
+
+# Most pool threads mc_level accepts; each one holds a block's chunk buffers.
+MC_MAX_THREADS = 256
 
 
 @dataclass(frozen=True)
@@ -120,10 +124,12 @@ def mc_level(
     Trials are partitioned into fixed-size blocks; block b draws from the
     substream seeded by ``mix64(seed XOR b)`` and block tallies are summed
     in ascending block order, so the output depends only on (seed, trials).
+    The seed must lie in ``[0, 2**64)``, so distinct seeds never share a
+    stream; at most ``MC_MAX_THREADS`` pool threads run the blocks.
     """
     check_int("trials", trials, 1)
-    check_int("threads", threads, 1)
-    seed &= (1 << 64) - 1
+    check_int("threads", threads, 1, MC_MAX_THREADS)
+    check_int("seed", seed, 0, (1 << 64) - 1)
     n, k = config.n, config.k
     p = params.p
     p_pos, q_pos, p_sig, q_sig = _scenario_probs(det, params)
@@ -180,7 +186,7 @@ def oracle_report(
         mc_stderr_de=se_de,
         mc_stderr_dcr=se_dcr,
         trials=trials,
-        seed=seed & ((1 << 64) - 1),
+        seed=seed,
         enum_abs_err_de=abs(closed.eta - enum_de),
         enum_abs_err_dcr=abs(closed.dcr - enum_dcr),
     )

@@ -252,19 +252,27 @@ class TestOracle:
     def test_enumeration_cap(self, capsys):
         assert main(["oracle", "--n", "17", "--k", "1"]) == 2
 
-    @pytest.mark.parametrize("flag", ["--trials", "--threads"])
-    def test_zero_count_rejected(self, monkeypatch, capsys, flag):
+    @pytest.fixture
+    def no_oracle_work(self, monkeypatch):
         from espd import _kernels, oracle
 
         def started(*args, **kwargs):
-            raise AssertionError("work started before the counts were checked")
+            raise AssertionError("work started before the inputs were checked")
 
         for owner, name in ((oracle, "enumerate_level"), (oracle, "ThreadPoolExecutor"),
                             (_kernels, "mc_block")):
             monkeypatch.setattr(owner, name, started)
+
+    @pytest.mark.parametrize("flag", ["--trials", "--threads"])
+    def test_zero_count_rejected(self, no_oracle_work, capsys, flag):
         assert main(["oracle", "--n", "4", "--k", "1", flag, "0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag[2:] in err
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_out_of_range_rejected(self, no_oracle_work, capsys, seed):
+        assert main(["oracle", "--n", "4", "--k", "1", "--seed", seed]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be an integer")
 
 
 class TestQkd:
