@@ -11,7 +11,6 @@ threshold.
 import importlib
 
 from .bounds import (
-    BoundInputs,
     FixedPointReport,
     PreconditionError,
     dcr_estimate,
@@ -98,7 +97,6 @@ __all__ = [
     "level_map",
     "iterate_schedule",
     "effective_transmission",
-    "BoundInputs",
     "FixedPointReport",
     "PreconditionError",
     "decision_poly",

@@ -4,6 +4,8 @@ Every value is built from ``+ - *`` alone: powers by repeated
 multiplication, coefficients from ``math.comb`` rounded once to float, and
 tail tables accumulated smallest-first (descending count index) so the tiny
 tail masses that drive dark-count suppression keep full double precision.
+:func:`tail` sums only the terms at or above its threshold, in that same
+descending order, so it rounds exactly like the matching table entry.
 The helpers take a Python float or a float64 ndarray for the success
 probability and perform the same sequence of IEEE operations elementwise,
 so a scalar and a batch evaluation round identically.  Success
@@ -19,7 +21,6 @@ from functools import lru_cache
 __all__ = [
     "powers",
     "pmf_row",
-    "pmf_at",
     "tail_table",
     "conv_tail_from",
     "clamp1",
@@ -63,11 +64,6 @@ def pmf_row(n: int, xp: list, yp: list) -> list:
     return [c[j] * xp[j] * yp[n - j] for j in range(n + 1)]
 
 
-def pmf_at(n: int, xp: list, yp: list, j: int):
-    """``pmf_row(n, xp, yp)[j]`` alone, for ``0 <= j <= n``."""
-    return _comb_row(n)[j] * xp[j] * yp[n - j]
-
-
 def tail_table(n: int, xp: list, yp: list) -> list:
     """``[P[Binomial(n, x) >= m] for m in 0..n+1]`` from shared powers.
 
@@ -105,16 +101,27 @@ def pmf(n: int, x: float, j: int) -> float:
     if j < 0 or j > n:
         return 0.0
     # powers only as high as this term needs
-    return pmf_at(n, powers(x, j), powers(1.0 - x, n - j), j)
+    return _comb_row(n)[j] * powers(x, j)[j] * powers(1.0 - x, n - j)[n - j]
 
 
 def tail(n: int, x: float, m: int) -> float:
     """P[Binomial(n, x) >= m].
 
     ``m <= 0`` returns exactly 1 and ``m > n`` exactly 0, which lets callers
-    pass shifted vote thresholds without special-casing.
+    pass shifted vote thresholds without special-casing.  Only the terms
+    ``j >= m`` are summed, from ``j = n`` down as in :func:`tail_table`, so
+    the value is that table's entry ``m`` clamped, bit for bit.
     """
-    return clamp1(tail_table(n, powers(x, n), powers(1.0 - x, n))[min(max(m, 0), n + 1)])
+    if m <= 0:
+        return 1.0
+    if m > n:
+        return 0.0
+    c, xp, y = _comb_row(n), powers(x, n), 1.0 - x
+    acc, yq = 0.0, 1.0  # yq = y**(n - j), by the same products as powers(y, n)
+    for j in range(n, m - 1, -1):
+        acc = acc + c[j] * xp[j] * yq
+        yq = yq * y
+    return clamp1(acc)
 
 
 def conv_tail(n1: int, x: float, n2: int, y: float, m: int) -> float:

@@ -22,7 +22,6 @@ from .dynamics import N_MAX, check_int, check_number, check_prob
 
 __all__ = [
     "PreconditionError",
-    "BoundInputs",
     "FixedPointReport",
     "decision_poly",
     "dcr_upper_bound",
@@ -44,23 +43,6 @@ class PreconditionError(ValueError):
 
 
 @dataclass(frozen=True)
-class BoundInputs:
-    """Validated argument bundle for the decision polynomial."""
-
-    a: float
-    n: int
-    k: int
-    x: float
-
-    def __post_init__(self) -> None:
-        if check_number("a", self.a) < 0.0:
-            raise ValueError(f"a must be >= 0, got {self.a!r}")
-        check_int("n", self.n, 1, N_MAX)
-        check_int("k", self.k, 1, self.n)
-        check_prob("x", self.x)
-
-
-@dataclass(frozen=True)
 class FixedPointReport:
     """Roots of the gain function on (0, 1] plus the positive-gain interval.
 
@@ -75,11 +57,12 @@ class FixedPointReport:
 
 def decision_poly(a: float, n: int, k: int, x: float) -> float:
     """Evaluate the decision polynomial f(x) defined above."""
-    BoundInputs(a, n, k, x)
-    # one pair of power lists serves both terms
-    xp, yp = binomial.powers(x, n), binomial.powers(1.0 - x, n)
-    tail = binomial.clamp1(binomial.tail_table(n, xp, yp)[k])
-    return a * binomial.pmf_at(n, xp, yp, k - 1) + tail
+    if check_number("a", a) < 0.0:
+        raise ValueError(f"a must be >= 0, got {a!r}")
+    check_int("n", n, 1, N_MAX)
+    check_int("k", k, 1, n)
+    check_prob("x", x)
+    return a * binomial.pmf(n, x, k - 1) + binomial.tail(n, x, k)
 
 
 def _noise_sum(d_s: float, Q: float, n: int, k: int) -> float:

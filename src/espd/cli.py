@@ -187,8 +187,6 @@ def cmd_iterate(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    if args.table not in golden.TABLES:
-        raise ValueError(f"unknown table {args.table}; available: {sorted(golden.TABLES)}")
     report = golden.evaluate_table(args.table, args.variant)
     out_path = _resolve_out(args.out, f"table{args.table}_report.csv")
 
@@ -320,8 +318,6 @@ def cmd_qkd(args) -> int:
 
 
 def cmd_figdata(args) -> int:
-    if args.figure not in golden.FIGURES:
-        raise ValueError(f"unknown figure {args.figure}; available: {sorted(golden.FIGURES)}")
     out_dir = Path(args.out_dir) if args.out_dir else _out_dir()
     written = []
     for stem, rows in golden.figure_panels(args.figure):

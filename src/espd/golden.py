@@ -480,7 +480,7 @@ TABLES: dict[int, GoldenTable] = {
     ),
 }
 
-# figure number -> (panel file stem, table number, metric, series subset)
+# figure number -> (panel file stem, table number, metric)
 FIGURES: dict[int, tuple[tuple[str, int, str], ...]] = {
     2: (
         ("fig2_seed59_de", 2, "de"),
@@ -526,7 +526,7 @@ def series_trajectory(
 def evaluate_table(number: int, variant: str = "exact") -> TableReport:
     """Recompute one reference table and compare it cell by cell."""
     if number not in TABLES:
-        raise KeyError(f"unknown table {number}; available: {sorted(TABLES)}")
+        raise ValueError(f"unknown table {number}; available: {sorted(TABLES)}")
     if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     table = TABLES[number]
@@ -593,7 +593,7 @@ def figure_panels(number: int) -> list[tuple[str, list[tuple[int, str, float]]]]
     baseline detector.
     """
     if number not in FIGURES:
-        raise KeyError(f"unknown figure {number}; available: {sorted(FIGURES)}")
+        raise ValueError(f"unknown figure {number}; available: {sorted(FIGURES)}")
     panels = []
     for stem, table_no, metric in FIGURES[number]:
         table = TABLES[table_no]

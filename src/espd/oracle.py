@@ -122,10 +122,12 @@ def mc_level(
     """Monte Carlo (de_hat, dcr_hat, stderr_de, stderr_dcr).
 
     Trials are partitioned into fixed-size blocks; block b draws from the
-    substream seeded by ``mix64(seed XOR b)`` and block tallies are summed
-    in ascending block order, so the output depends only on (seed, trials).
-    The seed must lie in ``[0, 2**64)``, so distinct seeds never share a
-    stream; at most ``MC_MAX_THREADS`` pool threads run the blocks.
+    substream seeded by ``mix64(seed XOR b)``.  Each of
+    ``w = min(threads, blocks)`` workers runs blocks i, i + w, ... in turn
+    and no block list is built; integer tallies sum exactly in any order,
+    so the output depends only on (seed, trials).  The seed must lie in
+    ``[0, 2**64)``, so distinct seeds never share a stream; at most
+    ``MC_MAX_THREADS`` pool threads run the blocks.
     """
     check_int("trials", trials, 1)
     check_int("threads", threads, 1, MC_MAX_THREADS)
@@ -134,25 +136,24 @@ def mc_level(
     p = params.p
     p_pos, q_pos, p_sig, q_sig = _scenario_probs(det, params)
 
-    blocks = []
-    start = 0
-    b = 0
-    while start < trials:
-        size = min(MC_BLOCK_TRIALS, trials - start)
-        blocks.append((b, size))
-        start += size
-        b += 1
+    nblocks = -(-trials // MC_BLOCK_TRIALS)
+    workers = min(threads, nblocks)
 
-    def run_block(block):
-        bi, size = block
-        state0 = _kernels.mix64(seed ^ bi)
-        return _kernels.mc_block(state0, size, n, k, p, p_pos, q_pos, p_sig, q_sig)
+    def run_blocks(first):
+        de = dcr = 0
+        for b in range(first, nblocks, workers):
+            size = min(MC_BLOCK_TRIALS, trials - b * MC_BLOCK_TRIALS)
+            state0 = _kernels.mix64(seed ^ b)
+            c = _kernels.mc_block(state0, size, n, k, p, p_pos, q_pos, p_sig, q_sig)
+            de += c[0]
+            dcr += c[1]
+        return de, dcr
 
-    if threads == 1 or len(blocks) == 1:
-        counts = [run_block(blk) for blk in blocks]
+    if workers == 1:
+        counts = [run_blocks(0)]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(run_block, blocks))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            counts = list(pool.map(run_blocks, range(workers)))
 
     de_count = sum(c[0] for c in counts)
     dcr_count = sum(c[1] for c in counts)

@@ -80,3 +80,30 @@ def test_conv_tail_edges():
     assert binomial.conv_tail(3, 0.5, 2, 0.1, 6) == 0.0
     assert binomial.conv_tail(3, 1.0, 2, 0.0, 3) == 1.0
     assert binomial.conv_tail(0, 0.5, 4, 0.5, 2) == binomial.tail(4, 0.5, 2)
+
+
+# Edge probabilities: the endpoints, the smallest subnormal, a tiny dark-count
+# scale and the largest float below 1.
+EDGE_XS = [0.0, 1.0, 5e-324, 1e-30, 1 - 2**-53]
+
+
+def test_tail_is_its_table_entry_bit_for_bit():
+    # tail sums only the terms j >= m, in tail_table's order (j = n down)
+    rng = random.Random(303)
+    xs = EDGE_XS + [rng.random() for _ in range(6)] + [rng.random() ** 20 for _ in range(3)]
+    for n in range(1, 65):
+        for x in xs:
+            table = binomial.tail_table(n, binomial.powers(x, n), binomial.powers(1.0 - x, n))
+            for m in range(-1, n + 2):
+                want = binomial.clamp1(table[min(max(m, 0), n + 1)])
+                assert binomial.tail(n, x, m).hex() == want.hex(), (n, x, m)
+
+
+def test_pmf_is_its_row_entry_bit_for_bit():
+    rng = random.Random(404)
+    xs = EDGE_XS + [rng.random() for _ in range(6)] + [rng.random() ** 20 for _ in range(3)]
+    for n in range(1, 65):
+        for x in xs:
+            row = binomial.pmf_row(n, binomial.powers(x, n), binomial.powers(1.0 - x, n))
+            for j in range(n + 1):
+                assert binomial.pmf(n, x, j).hex() == row[j].hex(), (n, x, j)

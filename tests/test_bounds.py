@@ -1,5 +1,7 @@
 """Decision-polynomial, bound, and fixed-point tests."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,10 +20,29 @@ from espd import (
     find_fixed_points,
     level_map,
 )
+from espd import binomial
 from espd.bounds import GRID_MAX
 
 
+def full_table_decision_poly(a, n, k, x):
+    """f(x) from a whole pmf row and tail table sharing one pair of power lists."""
+    xp, yp = binomial.powers(x, n), binomial.powers(1.0 - x, n)
+    tail = binomial.clamp1(binomial.tail_table(n, xp, yp)[k])
+    return a * binomial.pmf_row(n, xp, yp)[k - 1] + tail
+
+
 class TestDecisionPoly:
+    def test_matches_full_table_formula_bit_for_bit(self):
+        rng = random.Random(2024)
+        edges = [0.0, 1.0, 5e-324, 1e-30, 1 - 2**-53]
+        for i in range(5000):
+            n = rng.randint(1, 64)
+            k = rng.randint(1, n)
+            a = rng.choice([0.0, rng.random(), rng.uniform(0.0, 2.0)])
+            x = rng.choice(edges) if i % 10 == 0 else rng.random() ** rng.choice([1, 5, 20])
+            got, want = decision_poly(a, n, k, x), full_table_decision_poly(a, n, k, x)
+            assert got.hex() == want.hex(), (a, n, k, x)
+
     def test_zero_argument_higher_threshold(self):
         assert decision_poly(0.7, 5, 2, 0.0) == 0.0
         assert decision_poly(0.7, 5, 5, 0.0) == 0.0

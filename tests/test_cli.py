@@ -118,6 +118,7 @@ class TestTables:
 
     def test_unknown_table(self, tmp_path, capsys):
         assert main(["tables", "--table", "9"]) == 2
+        assert capsys.readouterr().err == "error: unknown table 9; available: [2, 3, 4, 5, 6, 7]\n"
 
     def test_exit_code_tracks_report(self, tmp_path, capsys):
         # Exit 1 iff the written report contains out-of-tolerance cells.
@@ -339,6 +340,7 @@ class TestFigdata:
 
     def test_unknown_figure(self, capsys):
         assert main(["figdata", "--figure", "7"]) == 2
+        assert capsys.readouterr().err == "error: unknown figure 7; available: [2, 3, 4, 5]\n"
 
     def test_unwritable_out_dir(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -359,6 +361,20 @@ class TestFixedPoints:
         assert main(["fixedpoints", "--n", "4", "--k", "2"]) == 0
         out = capsys.readouterr().out
         assert "root=" in out
+
+    def test_reference_config_output_pinned(self, capsys):
+        assert main(["fixedpoints", "--n", "4", "--k", "2"]) == 0
+        out = capsys.readouterr().out.encode()
+        digest = "d7e7e95bb951ae9929447d617267d788a88cb37e523e77241747d2355ead1bdb"
+        assert hashlib.sha256(out).hexdigest() == digest
+
+    def test_n8_k4_output_pinned(self, capsys):
+        assert main(["fixedpoints", "--n", "8", "--k", "4"]) == 0
+        assert capsys.readouterr().out == (
+            "root=0.38419950141906734\n"
+            "root=0.84957808303833016\n"
+            "gain_positive_interval=0.38419999999999999,0.84950000000000003\n"
+        )
 
     @pytest.mark.parametrize("n", ["65", "70", "10000"])
     def test_n_above_cap_rejected(self, capsys, n):

@@ -27,9 +27,14 @@ def test_reference_table_two_fully_matches():
     assert report.n_total == 24
 
 
-def test_unknown_table_raises():
-    with pytest.raises(KeyError):
-        evaluate_table(9)
+@pytest.mark.parametrize(
+    "call,match",
+    [(lambda: evaluate_table(9), "unknown table 9"), (lambda: figure_panels(7), "unknown figure 7")],
+    ids=["table", "figure"],
+)
+def test_unknown_table_raises(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_unknown_variant_raises():

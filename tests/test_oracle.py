@@ -139,6 +139,22 @@ class TestMonteCarlo:
             mc_level(det, BASELINE, cfg, 1000, 1)
         )
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_driver_memory_independent_of_trials(self, monkeypatch, threads):
+        # 10**9 trials are 15,259 blocks; the driver must hold no object per block.
+        # The stub counts every trial as a detection, so de_hat == 1 checks that
+        # each block ran exactly once with its own size.
+        monkeypatch.setattr(_kernels, "mc_block", lambda state0, size, *args: (size, 0))
+        det, cfg = DetectorPerformance(0.59, 1e-2), LevelConfig(4, 1)
+        tracemalloc.start()
+        try:
+            got = mc_level(det, BASELINE, cfg, 10**9, 1, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (1.0, 0.0, 0.0, 0.0)
+        assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
+
     def test_agrees_with_enumeration(self):
         rng = np.random.default_rng(17)
         trials = 100_000
