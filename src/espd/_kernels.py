@@ -8,19 +8,21 @@ Three kernels carry the bulk work:
   runs the scalar path's own code on arrays, so batch and scalar values
   are bit-identical;
 * ``vote_mass``       -- exact enumeration of all ``2**m`` detector-outcome
-  vectors for the k-of-m vote (verification oracle);
+  vectors for the k-of-m vote (verification oracle), their probabilities
+  built as a product tree;
 * ``mc_block``        -- one block of Monte Carlo trials on a counter-based
   splitmix64 stream.
 
 The Monte Carlo stream is counter-indexed (draw ``i`` of a block is a pure
 function of the block seed and ``i``), so tallies are bit-identical across
-block scheduling, thread counts and the row chunks a block is cut into.
+block scheduling, thread counts, the chunks a block is cut into and the
+layout a chunk holds its draws in: column-major, one column per trial, so
+the tally runs as a fixed number of array operations along the draw axis.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +48,7 @@ _MIX1_64 = _U64(_MIX1)
 _MIX2_64 = _U64(_MIX2)
 _TWO53 = 2.0**53
 
-# Draws per row chunk of mc_block: its uint64 buffers of this size (512 KiB
+# Draws per chunk of mc_block: its uint64 buffers of this size (512 KiB
 # each) stay in cache, where a whole block of (3n + 2)-draw trials would not.
 MC_CHUNK_DRAWS = 1 << 16
 
@@ -82,25 +84,19 @@ def level_map_batch(
     return dynamics.level_figures(*dynamics.firing_probs(eta, d, P, Q), p, n, ks)
 
 
-@lru_cache(maxsize=None)
-def _outcome_bits(m: int) -> tuple[np.ndarray, np.ndarray]:
-    masks = np.arange(1 << m, dtype=np.uint32)
-    bits = ((masks[:, None] >> np.arange(m, dtype=np.uint32)[None, :]) & 1).astype(bool)
-    pop = bits.sum(axis=1)
-    bits.setflags(write=False)
-    pop.setflags(write=False)
-    return bits, pop
-
-
 def vote_mass(probs: np.ndarray, k: int) -> float:
     """Probability that >= k of the independent detectors fire.
 
-    Brute force over all 2**m outcome vectors; m <= ~17 is practical.
+    Brute force over all 2**m outcome vectors; m <= ~17 is practical.  The
+    outcome probabilities grow as a product tree in detector order: after
+    detector i, outcome ``b`` (bit j set when detector j fires) holds the
+    product of its first i + 1 factors, multiplied in index order.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    m = probs.shape[0]
-    bits, pop = _outcome_bits(m)
-    pr = np.where(bits, probs[None, :], 1.0 - probs[None, :]).prod(axis=1)
+    pr = np.ones(1)
+    pop = np.zeros(1, dtype=np.intp)
+    for x in np.asarray(probs, dtype=np.float64).tolist():
+        pr = np.concatenate((pr * (1.0 - x), pr * x))
+        pop = np.concatenate((pop, pop + 1))
     return float(pr[pop >= k].sum())
 
 
@@ -132,29 +128,35 @@ def mc_block(
     Unused draws (after an early loss) still occupy their slots, so draw
     ``i`` of trial ``t`` sits at counter ``t * (3n + 2) + i``.
 
-    The trials run in row chunks of about ``MC_CHUNK_DRAWS`` draws; the
+    The trials run in chunks of ``MC_CHUNK_DRAWS // (3n + 2)`` trials; the
     splitmix64 steps of a chunk run in place in two preallocated uint64
-    buffers, so memory stays flat in ``ntrials`` and ``n``.  A draw is the
-    53-bit integer ``m = z >> 11``, compared against ``threshold53(x)``
-    instead of ``m * 2**-53`` against ``x``, which is the same test
-    exactly.  Neither step moves a draw or changes a comparison, so the
-    tallies are those of converting the whole block to floats at once.
+    buffers, so memory stays flat in ``ntrials`` and ``n``.  A chunk holds
+    its draws column-major: draw ``i`` of the chunk's trial ``t`` sits at
+    ``z[i, t]``, so a trial's loss mask, auxiliary thresholds and firing
+    counts are reductions along axis 0 over all of the chunk's trials at
+    once.  A draw is the 53-bit integer ``m = z >> 11``, compared against
+    ``threshold53(x)`` instead of ``m * 2**-53`` against ``x``, which is
+    the same test exactly.  None of these steps moves a draw or changes a
+    comparison, so the tallies are those of converting the whole block to
+    floats at once.
     """
     per = 3 * n + 2
-    rows = MC_CHUNK_DRAWS // per
+    chunk = MC_CHUNK_DRAWS // per  # trials
     t_p, t_pos, t_qpos, t_psig, t_qsig = (
         _U64(threshold53(x)) for x in (p, p_pos, q_pos, p_sig, q_sig)
     )
-    cols = np.arange(n)
-    # counter j of a chunk adds j * golden to the chunk's base (mod 2**64)
-    steps = np.arange(rows * per, dtype=np.uint64) * _GOLDEN64
-    z = np.empty(rows * per, dtype=np.uint64)
+    # counter (t0 + t) * per + i of a chunk adds (i + t * per) * golden to
+    # state0 + (t0 * per + 1) * golden (mod 2**64)
+    draw_steps = np.arange(per, dtype=np.uint64)[:, None] * _GOLDEN64
+    trial_steps = np.arange(chunk, dtype=np.uint64) * _U64(per * _GOLDEN & _MASK64)
+    z = np.empty(chunk * per, dtype=np.uint64)
     tmp = np.empty_like(z)
     de_count = dcr_count = 0
-    for t0 in range(0, ntrials, rows):
-        size = min(rows, ntrials - t0) * per
-        zc, tc = z[:size], tmp[:size]
-        np.add(steps[:size], _U64((state0 + (t0 * per + 1) * _GOLDEN) & _MASK64), out=zc)
+    for t0 in range(0, ntrials, chunk):
+        size = min(chunk, ntrials - t0)
+        zc, tc = z[: size * per].reshape(per, size), tmp[: size * per].reshape(per, size)
+        base = draw_steps + _U64((state0 + (t0 * per + 1) * _GOLDEN) & _MASK64)
+        np.add(base, trial_steps[:size], out=zc)
         for shift, mult in ((30, _MIX1_64), (27, _MIX2_64)):
             np.right_shift(zc, _U64(shift), out=tc)
             np.bitwise_xor(zc, tc, out=zc)
@@ -162,17 +164,19 @@ def mc_block(
         np.right_shift(zc, _U64(31), out=tc)
         np.bitwise_xor(zc, tc, out=zc)
         np.right_shift(zc, _U64(11), out=zc)
-        m = zc.reshape(-1, per)
 
-        fail = m[:, :n] >= t_p
-        lost = fail.any(axis=1)
-        active = np.where(lost, np.argmax(fail, axis=1) + 1, n)
-        aux_t = np.where(cols[None, :] < active[:, None], t_pos, t_qpos)
-        fires = (m[:, n : 2 * n] < aux_t).sum(axis=1)
-        fires += m[:, 2 * n] < np.where(lost, t_qsig, t_psig)
+        # alive[j]: the photon passed modules 0..j; auxiliary j sees it
+        # while modules 0..j-1 passed
+        alive = np.logical_and.accumulate(zc[:n] < t_p, axis=0)
+        aux = zc[n : 2 * n]
+        fires = (aux[0] < t_pos).astype(np.uint8)
+        fires += np.where(alive[:-1], aux[1:] < t_pos, aux[1:] < t_qpos).sum(
+            axis=0, dtype=np.uint8
+        )
+        fires += np.where(alive[-1], zc[2 * n] < t_psig, zc[2 * n] < t_qsig)
         de_count += int(np.count_nonzero(fires >= k))
 
-        vac_fires = (m[:, 2 * n + 1 : 3 * n + 1] < t_qpos).sum(axis=1)
-        vac_fires += m[:, 3 * n + 1] < t_qsig
+        vac_fires = (zc[2 * n + 1 : 3 * n + 1] < t_qpos).sum(axis=0, dtype=np.uint8)
+        vac_fires += zc[3 * n + 1] < t_qsig
         dcr_count += int(np.count_nonzero(vac_fires >= k))
     return de_count, dcr_count

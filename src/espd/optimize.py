@@ -30,6 +30,7 @@ row is built only when a caller indexes or iterates one.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -275,19 +276,30 @@ def pareto_front(results: SearchResult) -> SearchResult:
 
     A dominator sorts before what it dominates, and dominance is
     transitive, so in sorted order each element needs comparing only with
-    the front kept so far, whose costs are all <= its own.
+    the front kept so far, whose costs are all <= its own.  That front is
+    summed up by a staircase: the kept (eta, dcr) pairs no other kept pair
+    matches or beats on both axes, sorted by eta (and so by dcr).  Its
+    first step with eta >= e holds the least dcr among kept pairs with
+    eta >= e, and the cost of the first row kept with exactly that pair.
     """
     # Left-aligned, the codes compare like the encodings as tuples: config
     # indices start at 1, so a schedule sorts before its extensions.
     shift = (8 * (MAX_SEARCH_LEVELS - results.lengths)).astype(np.uint64)
     order = np.lexsort((results.codes << shift, results.dcr, -results.eta, results.costs))
     rows: list[int] = []
-    kept: list[tuple[int, float, float]] = []
+    etas: list[float] = []
+    dcrs: list[float] = []
+    costs: list[int] = []
     columns = (results.costs[order], results.eta[order], results.dcr[order])
     for i, c, e, d in zip(order.tolist(), *(col.tolist() for col in columns)):
-        if not any(
-            qe >= e and qd <= d and (qc < c or qe > e or qd < d) for qc, qe, qd in kept
-        ):
-            rows.append(i)
-            kept.append((c, e, d))
+        s = bisect_left(etas, e)
+        if s < len(etas) and dcrs[s] <= d:
+            if dcrs[s] < d or etas[s] > e or costs[s] < c:
+                continue  # dominated
+        else:
+            # the new step replaces those it matches or beats on both axes
+            lo = bisect_left(dcrs, d, 0, s)
+            hi = s + (s < len(etas) and etas[s] == e)
+            etas[lo:hi], dcrs[lo:hi], costs[lo:hi] = [e], [d], [c]
+        rows.append(i)
     return results._take(np.array(rows, dtype=np.intp))

@@ -9,6 +9,7 @@ the efficiency helps both ``gamma`` and the raw key rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .dynamics import DetectorPerformance, check_number, check_prob
@@ -45,6 +46,13 @@ class QkdScenario:
         return self.e_th if self.e is None else self.e
 
 
+def _finite(gamma: float) -> float:
+    # a tiny eta can overflow the quotient; inf is no threshold
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma is not finite ({gamma!r})")
+    return gamma
+
+
 def gamma_exact(scn: QkdScenario, det: DetectorPerformance) -> float:
     """gamma = (1 - 2 e_th) d / (eta [e_th - e_c + d (1 - 2 e)])."""
     if det.eta <= 0.0:
@@ -53,11 +61,11 @@ def gamma_exact(scn: QkdScenario, det: DetectorPerformance) -> float:
     denom = det.eta * (scn.e_th - scn.e_c + det.dcr * (1.0 - 2.0 * e))
     if denom <= 0.0:
         raise ValueError(f"gamma denominator must be > 0, got {denom!r}")
-    return (1.0 - 2.0 * scn.e_th) * det.dcr / denom
+    return _finite((1.0 - 2.0 * scn.e_th) * det.dcr / denom)
 
 
 def gamma_approx(scn: QkdScenario, det: DetectorPerformance) -> float:
     """Small-dark-count form: (1 - 2 e_th) / (e_th - e_c) * d / eta."""
     if det.eta <= 0.0:
         raise ValueError("gamma requires eta > 0")
-    return (1.0 - 2.0 * scn.e_th) / (scn.e_th - scn.e_c) * det.dcr / det.eta
+    return _finite((1.0 - 2.0 * scn.e_th) / (scn.e_th - scn.e_c) * det.dcr / det.eta)

@@ -303,6 +303,15 @@ class TestQkd:
                      "--eta", "0.9", "--dcr", "1"]) == 1
         assert capsys.readouterr().err.startswith("error: gamma denominator")
 
+    @pytest.mark.parametrize("approx", [[], ["--approx"]])
+    def test_infinite_gamma_exits_1(self, capsys, approx):
+        # valid inputs whose threshold overflows: a compute failure, no gamma line
+        assert main(["qkd", "--e-th", "0.11", "--e-c", "0.02",
+                     "--eta", "1e-320", "--dcr", "1", *approx]) == 1
+        out, err = capsys.readouterr()
+        assert "gamma_" not in out
+        assert err.startswith("error: gamma is not finite")
+
     def test_approx_only(self, capsys):
         assert main(["qkd", "--e-th", "0.11", "--e-c", "0.02",
                      "--eta", "0.9", "--dcr", "1e-6", "--approx"]) == 0

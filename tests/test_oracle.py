@@ -84,6 +84,15 @@ class TestMonteCarlo:
         b = mc_level(det, BASELINE, cfg, 200_000, 42, threads=4)
         assert a == b
 
+    def test_partial_last_block_same_at_any_thread_count(self):
+        # four blocks, the last one partial: 3 threads run blocks {0, 3}, {1}, {2}
+        det = DetectorPerformance(0.59, 1e-2)
+        cfg = LevelConfig(4, 2)
+        trials = 3 * oracle.MC_BLOCK_TRIALS + 1234
+        a = mc_level(det, BASELINE, cfg, trials, 11, threads=1)
+        assert mc_level(det, BASELINE, cfg, trials, 11, threads=2) == a
+        assert mc_level(det, BASELINE, cfg, trials, 11, threads=3) == a
+
     def test_reference_point_within_four_stderr(self):
         det = DetectorPerformance(0.59, 1e-2)
         de, _, se_de, _ = mc_level(det, BASELINE, LevelConfig(4, 1), 1_000_000, 3)
@@ -231,6 +240,23 @@ class TestMcBlock:
             args = (state0, ntrials, n, k, *probs)
             assert _kernels.mc_block(*args) == float_block(*args), args
 
+    @pytest.mark.parametrize("n", [1, 12, 64])
+    def test_matches_float_reference_across_chunks(self, n):
+        # at least three full chunks and a partial one
+        rng = np.random.default_rng(n)
+        rows = _kernels.MC_CHUNK_DRAWS // (3 * n + 2)
+        edges = [0.0, 1.0, 1e-30, 5e-324, GRID, 1 - 2**-53]
+        for _ in range(3):
+            k = int(rng.integers(1, n + 2))
+            probs = [
+                float(rng.choice(edges)) if rng.random() < 0.3 else float(rng.uniform())
+                for _ in range(5)
+            ]
+            ntrials = 3 * rows + int(rng.integers(1, rows))
+            state0 = _kernels.mix64(int(rng.integers(0, 2**63)))
+            args = (state0, ntrials, n, k, *probs)
+            assert _kernels.mc_block(*args) == float_block(*args), args
+
     def test_pinned_cases_cover_chunk_edges(self):
         sizes = {(c[1], c[2]) for c, _ in PINNED_BLOCKS}
         assert {oracle.MC_BLOCK_TRIALS, 1} <= {t for t, _ in sizes}
@@ -262,6 +288,32 @@ class TestMcBlock:
         finally:
             tracemalloc.stop()
         assert peak <= 16e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def where_prod_masses(probs):
+    """Reference: vote_mass for k = 0..m + 1 from every outcome's factors
+    gathered in a (2**m, m) array."""
+    probs = np.asarray(probs, dtype=np.float64)
+    m = probs.shape[0]
+    masks = np.arange(1 << m, dtype=np.uint32)
+    bits = ((masks[:, None] >> np.arange(m, dtype=np.uint32)[None, :]) & 1).astype(bool)
+    pr = np.where(bits, probs[None, :], 1.0 - probs[None, :]).prod(axis=1)
+    pop = bits.sum(axis=1)
+    return [float(pr[pop >= k].sum()) for k in range(m + 2)]
+
+
+class TestVoteMass:
+    @pytest.mark.parametrize("m", range(1, 18))
+    def test_matches_where_prod_bit_for_bit(self, m):
+        rng = np.random.default_rng(100 + m)
+        edges = [0.0, 1.0, 1e-30, 5e-324, 0.5, 1 - 2**-53]
+        for _ in range(3):
+            probs = np.array([
+                float(rng.choice(edges)) if rng.random() < 0.3 else float(rng.uniform())
+                for _ in range(m)
+            ])
+            got = [_kernels.vote_mass(probs, k) for k in range(m + 2)]
+            assert got == where_prod_masses(probs), probs
 
 
 class TestOracleReport:

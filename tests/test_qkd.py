@@ -117,3 +117,9 @@ class TestValidation:
         scn = QkdScenario(e_th=0.11, e_c=0.02, e=1.0)
         with pytest.raises(ValueError, match="denominator"):
             gamma_exact(scn, DetectorPerformance(0.9, 0.5))
+
+    @pytest.mark.parametrize("gamma", [gamma_exact, gamma_approx])
+    def test_overflowing_threshold_rejected(self, gamma):
+        # 0.78 / (1e-320 * 0.87) overflows to inf
+        with pytest.raises(ValueError, match="gamma is not finite"):
+            gamma(SCN, DetectorPerformance(1e-320, 1.0))
