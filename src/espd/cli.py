@@ -19,8 +19,14 @@ code.  A ``ValueError`` -- from the library's own checks or from the few
 checks kept here -- prints ``error: <msg>`` and exits 2; an ``OSError``
 prints ``error: <msg>`` and exits 1.  Commands check nothing the library
 already checks under the same name.  ``iterate`` names the config file in
-front of every error in it; ``qkd`` reports a failed threshold computation
-with exit 1.
+front of every error in it (a bad ``--levels`` is the flag's, not the
+file's); ``qkd`` reports a failed threshold computation with exit 1.
+
+Imports: only :mod:`espd.dynamics` is imported at the top, since every
+command needs it (it also holds the run labels of the schedule CSV).  Each
+command imports the rest of what it uses (``golden``, ``bounds``, ``qkd``,
+``optimize``, ``oracle``) in its own body, so ``--help`` and every command
+load no module they do not call.
 """
 
 from __future__ import annotations
@@ -33,13 +39,14 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import bounds, golden, qkd
 from .dynamics import (
+    MAX_LEVELS,
     ComponentParams,
     ConvergenceRule,
     DetectorPerformance,
     LevelConfig,
     Schedule,
+    check_int,
     check_prob,
     iterate_schedule,
 )
@@ -163,6 +170,9 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_iterate(args) -> int:
+    if args.levels is not None:
+        # checked outside the config file's error prefix: the flag is not in the file
+        check_int("--levels", args.levels, 1, MAX_LEVELS)
     path = Path(args.config)
     try:
         config = _parse_run_config(path, args.levels)
@@ -187,6 +197,8 @@ def cmd_iterate(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    from . import golden
+
     report = golden.evaluate_table(args.table, args.variant)
     out_path = _resolve_out(args.out, f"table{args.table}_report.csv")
 
@@ -297,6 +309,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_qkd(args) -> int:
+    from . import qkd
+
     scn = qkd.QkdScenario(e_th=args.e_th, e_c=args.e_c, e=args.e)
     det = DetectorPerformance(args.eta, args.dcr)
     if det.eta <= 0.0:
@@ -318,6 +332,8 @@ def cmd_qkd(args) -> int:
 
 
 def cmd_figdata(args) -> int:
+    from . import golden
+
     out_dir = Path(args.out_dir) if args.out_dir else _out_dir()
     written = []
     for stem, rows in golden.figure_panels(args.figure):
@@ -333,6 +349,8 @@ def cmd_figdata(args) -> int:
 
 
 def cmd_fixedpoints(args) -> int:
+    from . import bounds
+
     report = bounds.find_fixed_points(args.p, args.P_act, args.n, args.k, grid=args.grid)
     if report.roots:
         for root in report.roots:

@@ -33,6 +33,8 @@ __all__ = [
     "ComponentParams",
     "LevelConfig",
     "Schedule",
+    "run_label",
+    "schedule_label",
     "LevelIntermediates",
     "TrajectoryPoint",
     "Trajectory",
@@ -170,6 +172,24 @@ class Schedule:
         for cfg in self.levels:
             if not isinstance(cfg, LevelConfig):
                 raise ValueError("schedule levels must be LevelConfig instances")
+
+
+def run_label(names: list[str]) -> str:
+    """Run-length join of per-level names, e.g. ``4:1+4:2x7``."""
+    parts = []
+    i = 0
+    while i < len(names):
+        j = i + 1
+        while j < len(names) and names[j] == names[i]:
+            j += 1
+        parts.append(names[i] if j == i + 1 else f"{names[i]}x{j - i}")
+        i = j
+    return "+".join(parts)
+
+
+def schedule_label(schedule: tuple[LevelConfig, ...]) -> str:
+    """Compact comma-free run-length label, e.g. ``4:1+4:2x7``."""
+    return run_label([f"{cfg.n}:{cfg.k}" for cfg in schedule])
 
 
 @dataclass(frozen=True)
@@ -379,9 +399,9 @@ def level_map(
     det: DetectorPerformance, params: ComponentParams, config: LevelConfig
 ) -> DetectorPerformance:
     """One application of the enhancement map ``(eta, dcr) -> (eta', dcr')``."""
-    inter = level_intermediates(det, params)
     ((de, dcr),) = level_figures(
-        inter.p_pos, inter.q_pos, inter.p_sig, inter.q_sig, params.p, config.n, (config.k,)
+        *firing_probs(det.eta, det.dcr, params.P_act, params.Q_err),
+        params.p, config.n, (config.k,),
     )
     return DetectorPerformance(eta=de, dcr=dcr)
 

@@ -28,6 +28,7 @@ from .dynamics import (
     approx_intermediates,
     level_figures,
     level_intermediates,
+    schedule_label,
 )
 
 __all__ = [
@@ -42,8 +43,6 @@ __all__ = [
     "series_trajectory",
     "evaluate_table",
     "figure_panels",
-    "run_label",
-    "schedule_label",
 ]
 
 DE_TOL_PP = 0.1  # DE tolerance, percentage points
@@ -565,24 +564,6 @@ def evaluate_table(number: int, variant: str = "exact") -> TableReport:
         n_ok=n_ok,
         n_total=len(cells),
     )
-
-
-def run_label(names: list[str]) -> str:
-    """Run-length join of per-level names, e.g. ``4:1+4:2x7``."""
-    parts = []
-    i = 0
-    while i < len(names):
-        j = i + 1
-        while j < len(names) and names[j] == names[i]:
-            j += 1
-        parts.append(names[i] if j == i + 1 else f"{names[i]}x{j - i}")
-        i = j
-    return "+".join(parts)
-
-
-def schedule_label(schedule: tuple[LevelConfig, ...]) -> str:
-    """Compact comma-free run-length label, e.g. ``4:1+4:2x7``."""
-    return run_label([f"{cfg.n}:{cfg.k}" for cfg in schedule])
 
 
 def figure_panels(number: int) -> list[tuple[str, list[tuple[int, str, float]]]]:

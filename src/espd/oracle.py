@@ -149,11 +149,8 @@ def mc_level(
             dcr += c[1]
         return de, dcr
 
-    if workers == 1:
-        counts = [run_blocks(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(run_blocks, range(workers)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        counts = list(pool.map(run_blocks, range(workers)))
 
     de_count = sum(c[0] for c in counts)
     dcr_count = sum(c[1] for c in counts)

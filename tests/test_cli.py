@@ -100,6 +100,19 @@ class TestIterate:
         assert main(["iterate", str(cfg), "--levels", "1001", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_levels_flag_error_names_the_flag_not_the_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = str(tmp_path / "t.csv")
+        assert main(["iterate", str(cfg), "--levels", "0", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: --levels must be an integer in [1, 1000], got 0\n"
+        )
+        bad = write_config(tmp_path / "bad.json", max_levels=0)
+        assert main(["iterate", str(bad), "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: max_levels must be an integer in [1, 1000], got 0\n"
+        )
+
     def test_no_partial_file_on_failure(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", schedule=[])
         out = tmp_path / "traj.csv"

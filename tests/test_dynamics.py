@@ -5,6 +5,7 @@ every detector-outcome vector; they are intentionally independent of the
 tail algebra in the package.
 """
 
+import itertools
 import math
 
 import mpmath
@@ -134,6 +135,13 @@ class TestIntermediates:
         # bool is an int subclass; True must not pass as n = 1 or k = 1
         with pytest.raises(ValueError, match="[nk] must be an integer"):
             LevelConfig(n, k)
+
+    def test_firing_probs_stay_probabilities_at_edges(self):
+        # level_map feeds these straight to the level map, with no check_prob
+        edges = (0.0, 1.0, 5e-324, 1.0 - 2.0**-53)
+        for eta, d, P, Q in itertools.product(edges, repeat=4):
+            fp = firing_probs(eta, d, P, Q)
+            assert all(0.0 <= x <= 1.0 for x in fp), (eta, d, P, Q, fp)
 
     @given(det_eta=probs, det_d=probs, P=probs, Q=probs, p=probs)
     def test_q_pos_below_p_pos_when_q_below_p(self, det_eta, det_d, P, Q, p):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -136,17 +137,23 @@ class TestMonteCarlo:
             assert rep.seed == seed
 
     def test_thread_cap(self, monkeypatch):
-        def started(*args, **kwargs):
-            raise AssertionError("a pool thread started")
+        pools = []
 
-        # one block at the cap runs without a pool; above it nothing starts
-        monkeypatch.setattr(oracle, "ThreadPoolExecutor", started)
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        # above the cap no pool starts; at the cap one block gets one pool thread
+        monkeypatch.setattr(oracle, "ThreadPoolExecutor", RecordingPool)
         det, cfg = DetectorPerformance(0.59, 1e-2), LevelConfig(4, 1)
         with pytest.raises(ValueError, match="threads must be an integer in"):
             mc_level(det, BASELINE, cfg, 200_000, 1, threads=oracle.MC_MAX_THREADS + 1)
+        assert pools == []
         assert mc_level(det, BASELINE, cfg, 1000, 1, threads=oracle.MC_MAX_THREADS) == (
             mc_level(det, BASELINE, cfg, 1000, 1)
         )
+        assert pools == [1, 1]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_driver_memory_independent_of_trials(self, monkeypatch, threads):

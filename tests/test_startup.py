@@ -1,9 +1,11 @@
-"""Start-up guard: numpy loads only for the commands that compute on arrays.
+"""Start-up guard: each command loads only the modules it uses.
 
 numpy takes about half of a fresh interpreter's start-up, and only
-``optimize`` and ``oracle`` use arrays.  Each check runs in a fresh
-interpreter, because numpy stays in ``sys.modules`` once anything in the
-test session has imported it.
+``optimize`` and ``oracle`` use arrays; the golden tables, ``bounds`` and
+``qkd`` load only for the commands that call them, and ``import espd``
+loads no submodule at all.  Each check runs in a fresh interpreter,
+because a module stays in ``sys.modules`` once anything in the test
+session has imported it.
 """
 
 import json
@@ -16,14 +18,18 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Runs one command through espd.cli.main, then reports its exit code and
-# whether numpy was imported.
+# Runs one command through espd.cli.main, then reports its exit code,
+# whether numpy was imported, and which espd submodules were.
 _CLI = """
 import json, sys
 import espd.cli
 rc = espd.cli.main(json.loads(sys.argv[1]))
-print(json.dumps([rc, "numpy" in sys.modules]))
+loaded = sorted(m[5:] for m in sys.modules if m.startswith("espd."))
+print(json.dumps([rc, "numpy" in sys.modules, loaded]))
 """
+
+# what every command loads: the CLI and the level map it is built on
+_BASE = ["binomial", "cli", "dynamics"]
 
 
 def _python(code: str, *args: str, cwd: Path) -> str:
@@ -64,25 +70,39 @@ RUN_JSON = {
 
 
 @pytest.mark.parametrize(
-    "argv,rc,loads_numpy",
+    "argv,rc,loads_numpy,own",
     [
         # table 3 carries a published misprint, so it exits 1
-        (["tables", "--table", "3", "--out", "t3.csv"], 1, False),
-        (["figdata", "--figure", "2", "--out-dir", "fig"], 0, False),
-        (["fixedpoints", "--n", "4", "--k", "2"], 0, False),
+        (["tables", "--table", "3", "--out", "t3.csv"], 1, False, ["golden"]),
+        (["figdata", "--figure", "2", "--out-dir", "fig"], 0, False, ["golden"]),
+        (["fixedpoints", "--n", "4", "--k", "2"], 0, False, ["bounds"]),
         (["qkd", "--e-th", "0.11", "--e-c", "0.02", "--eta", "0.934", "--dcr", "8.5e-10"],
-         0, False),
-        (["iterate", "run.json", "--out", "traj.csv"], 0, False),
+         0, False, ["qkd"]),
+        (["iterate", "run.json", "--out", "traj.csv"], 0, False, []),
         (["optimize", "--de-target", "0.9", "--dcr-target", "1e-3", "--max-levels", "1",
-          "--n-max", "4", "--out", "s.csv"], 0, True),
-        (["oracle", "--n", "3", "--k", "2", "--trials", "1000"], 0, True),
+          "--n-max", "4", "--out", "s.csv"], 0, True, ["_kernels", "optimize"]),
+        (["oracle", "--n", "3", "--k", "2", "--trials", "1000"], 0, True,
+         ["_kernels", "oracle"]),
     ],
     ids=["tables", "figdata", "fixedpoints", "qkd", "iterate", "optimize", "oracle"],
 )
-def test_only_array_commands_load_numpy(tmp_path, argv, rc, loads_numpy):
+def test_only_array_commands_load_numpy(tmp_path, argv, rc, loads_numpy, own):
     (tmp_path / "run.json").write_text(json.dumps(RUN_JSON), encoding="utf-8")
     out = _python(_CLI, json.dumps(argv), cwd=tmp_path)
-    assert json.loads(out) == [rc, loads_numpy]
+    assert json.loads(out) == [rc, loads_numpy, sorted(_BASE + own)]
+
+
+def test_import_espd_loads_no_submodule_until_accessed(tmp_path):
+    code = """
+import json, sys
+import espd
+before = sorted(m for m in sys.modules if m.startswith("espd."))
+# binomial first: later modules import it, which would set it as a side effect
+names = ["binomial", "bounds", "dynamics", "qkd", "optimize", "oracle", "_kernels"]
+kinds = [type(getattr(espd, name)).__name__ for name in names]
+print(json.dumps([before, kinds]))
+"""
+    assert json.loads(_python(code, cwd=tmp_path)) == [[], ["module"] * 7]
 
 
 def test_every_public_name_resolves_and_is_listed(tmp_path):
