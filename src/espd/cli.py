@@ -9,7 +9,8 @@ Carlo), ``qkd`` (tolerable-transmission threshold), and ``figdata``
 Conventions: CSV output is comma-separated with a header row, LF line
 endings, and floats at 17 significant digits; files are written to a
 temporary name and atomically renamed, so a failed run never leaves a
-partial file.  Exit codes: 0 success, 1 compute or tolerance failure,
+partial file, and get the permissions of a plain write (the umask's).
+Exit codes: 0 success, 1 compute or tolerance failure,
 2 usage or validation failure.  When ``--out``/``--out-dir`` is omitted,
 relative defaults resolve against ``$ESPD_OUT_DIR`` (falling back to the
 working directory).
@@ -35,8 +36,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from .dynamics import (
@@ -72,7 +71,9 @@ def _resolve_out(arg: str | None, default_name: str) -> Path:
 
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
+    # a new file at mode 0o666 less the umask, as open(path, "w") would make it
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
@@ -93,14 +94,6 @@ def _binom_stderr(prob: float, trials: int) -> float:
     return (prob * (1.0 - prob) / trials) ** 0.5
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    init: DetectorPerformance
-    schedule: Schedule
-    rule: ConvergenceRule
-    out: str | None
-
-
 def _load_json(path: Path) -> dict:
     data = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(data, dict):
@@ -114,7 +107,9 @@ def _model(values) -> tuple[DetectorPerformance, ComponentParams]:
     return DetectorPerformance(eta0, d0), ComponentParams(p, P, Q)
 
 
-def _parse_run_config(path: Path, levels_override: int | None) -> RunConfig:
+def _parse_run_config(
+    path: Path, levels_override: int | None
+) -> tuple[DetectorPerformance, Schedule, ConvergenceRule, str | None]:
     data = _load_json(path)
     known = {*_BASELINE, "schedule", "max_levels", "out"}
     for key in data:
@@ -145,7 +140,7 @@ def _parse_run_config(path: Path, levels_override: int | None) -> RunConfig:
     out = data.get("out")
     if out is not None and not isinstance(out, str):
         raise ValueError("out must be a string path")
-    return RunConfig(init, Schedule(params, tuple(schedule)), rule, out)
+    return init, Schedule(params, tuple(schedule)), rule, out
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -175,17 +170,15 @@ def cmd_iterate(args) -> int:
         check_int("--levels", args.levels, 1, MAX_LEVELS)
     path = Path(args.config)
     try:
-        config = _parse_run_config(path, args.levels)
+        init, schedule, rule, out = _parse_run_config(path, args.levels)
     except (OSError, ValueError) as exc:
         # an unreadable config is bad input (exit 2), like an invalid one
         if isinstance(exc, json.JSONDecodeError):
             exc = f"line {exc.lineno} column {exc.colno}: {exc.msg}"
         raise ValueError(f"{path}: {exc}") from None
 
-    out_path = Path(args.out) if args.out else (
-        Path(config.out) if config.out else _resolve_out(None, "trajectory.csv")
-    )
-    traj = iterate_schedule(config.init, config.schedule, config.rule)
+    out_path = _resolve_out(args.out or out or None, "trajectory.csv")
+    traj = iterate_schedule(init, schedule, rule)
     lines = ["level,n,k,de,dcr"]
     for pt in traj.points:
         n = str(pt.config.n) if pt.config else ""

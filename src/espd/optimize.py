@@ -18,6 +18,11 @@ Two prunes keep the tree manageable without touching exactness:
   next-level dark count, iterated over the remaining depth) stop
   expanding.
 
+Each config's rows are filtered as they leave the kernel: its feasible rows
+join the results, and only its rows above the dark-count floor join the
+next frontier, to which the cost prune applies once the level is done.  No
+level holds a copy of every unfiltered row.
+
 The batch kernel runs the scalar level map's own code on arrays, so the
 final performance recorded for every returned schedule is bit-identical to
 re-evaluating it with :func:`espd.dynamics.iterate_schedule`.
@@ -166,7 +171,7 @@ def _dcr_floor(d: np.ndarray, n_max: int, steps: int) -> np.ndarray:
     # floor is shrunk by FLOOR_SLACK so that rounding, in it or in the level
     # map, cannot lift it above a dark count it equals mathematically.  The
     # bound is monotone increasing in d, hence safe to iterate.
-    f = d.copy()
+    f = d
     for _ in range(steps):
         f = f**n_max * (1.0 + n_max * (1.0 - f)) * (1.0 - FLOOR_SLACK)
     return f
@@ -180,6 +185,11 @@ def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchRe
     thread counts.  The ranking comes back as the search's own columns; a
     :class:`RankedSchedule` is built only when a row is accessed.  An empty
     result means no schedule qualifies.
+
+    Each config's rows are filtered as they leave the kernel: the feasible
+    ones join the results and the dark-count floor picks those that join
+    the next frontier.  The cost prune, whose threshold needs the whole
+    level's results, then acts once on that frontier.
     """
     if top is not None:
         check_int("top", top, 1)
@@ -193,13 +203,15 @@ def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchRe
     codes = np.zeros(1, dtype=np.uint64)
     costs = np.ones(1, dtype=np.int64)
 
-    # one (codes, lengths, costs, eta, dcr) tuple of feasible columns per level
+    # feasible (codes, lengths, costs, eta, dcr) columns, one tuple per config per level
     found: list[tuple[np.ndarray, ...]] = []
-    feasible_total = 0
 
     for level in range(1, query.max_levels + 1):
-        parts = []
+        remaining = query.max_levels - level
+        # the (eta, dcr, codes, costs) rows each config passes to the next level
+        frontier: list[tuple[np.ndarray, ...]] = []
         shifted = codes << np.uint64(8)
+        config = 0  # a config's code is its 1-based index in configs
         for n in range(1, query.n_max + 1):
             # every threshold of one n in one kernel call, in (n, k) order
             figures = _kernels.level_map_batch(
@@ -207,34 +219,25 @@ def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchRe
             )
             cost2 = costs * (n + 1)
             for e2, d2 in figures:
-                # a config's code is its 1-based index in configs
-                parts.append((e2, d2, shifted | np.uint64(len(parts) + 1), cost2))
-        # one concatenation per column: map(np.concatenate, zip(*parts)) makes the
-        # same arrays but measured about 1 MB more peak RSS on the full listing
-        e_all = np.concatenate([p[0] for p in parts])
-        d_all = np.concatenate([p[1] for p in parts])
-        code_all = np.concatenate([p[2] for p in parts])
-        cost_all = np.concatenate([p[3] for p in parts])
+                config += 1
+                code2 = shifted | np.uint64(config)
+                feas = (e2 >= query.de_target) & (d2 <= query.dcr_target)
+                found.append((
+                    code2[feas], np.full(np.count_nonzero(feas), level, dtype=np.int64),
+                    cost2[feas], e2[feas], d2[feas],
+                ))
+                if remaining:
+                    keep = _dcr_floor(d2, query.n_max, remaining) <= query.dcr_target
+                    frontier.append((e2[keep], d2[keep], code2[keep], cost2[keep]))
 
-        feas = (e_all >= query.de_target) & (d_all <= query.dcr_target)
-        feasible = int(np.count_nonzero(feas))
-        found.append((
-            code_all[feas], np.full(feasible, level, dtype=np.int64),
-            cost_all[feas], e_all[feas], d_all[feas],
-        ))
-        feasible_total += feasible
-
-        if level == query.max_levels:
+        if not remaining:
             break
-        keep = np.ones(e_all.shape[0], dtype=bool)
-        if top is not None and feasible_total >= top:
+        etas, ds, codes, costs = map(np.concatenate, zip(*frontier))
+        if top is not None and sum(len(f[2]) for f in found) >= top:
+            # an extension costs at least twice its prefix
             threshold = np.partition(np.concatenate([f[2] for f in found]), top - 1)[top - 1]
-            keep &= (2 * cost_all) <= threshold
-        remaining = query.max_levels - level
-        floor = _dcr_floor(d_all, query.n_max, remaining)
-        keep &= floor <= query.dcr_target
-        etas, ds = e_all[keep], d_all[keep]
-        codes, costs = code_all[keep], cost_all[keep]
+            keep = 2 * costs <= threshold
+            etas, ds, codes, costs = etas[keep], ds[keep], codes[keep], costs[keep]
         if etas.shape[0] == 0:
             break
 

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import stat
 
 import pytest
 
@@ -143,6 +145,17 @@ class TestTables:
                 row.split(",")[8] == "1" and row.split(",")[13] == "1" for row in body
             )
             assert code == (0 if all_ok else 1)
+
+    def test_written_file_mode_follows_umask(self, tmp_path):
+        # a report gets the permissions a plain open(path, "w") would give it
+        out = tmp_path / "t2.csv"
+        old = os.umask(0o022)
+        try:
+            assert main(["tables", "--table", "2", "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+        assert [p.name for p in tmp_path.iterdir()] == ["t2.csv"]
 
     def test_approx_variant_runs(self, tmp_path):
         out = tmp_path / "t2a.csv"

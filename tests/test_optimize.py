@@ -1,6 +1,7 @@
 """Schedule-search and Pareto-front tests."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -26,6 +27,8 @@ from espd.optimize import MAX_SEARCH_N, _dcr_floor
 
 BASELINE = ComponentParams(p=0.98, P_act=0.97, Q_err=0.002)
 SEED = DetectorPerformance(0.59, 1e-2)
+# a high-dark-count seed, for which the dark-count floor prunes early
+NOISY = DetectorPerformance(0.59, 0.35)
 
 
 def _encode(r):
@@ -108,47 +111,41 @@ class TestSearchSchedules:
             (SEED, (0.99, 1e-12), None),
             # High-dark-count seed with a target just above the provable
             # floor: exercises the dark-count prune near its boundary.
-            (DetectorPerformance(0.59, 0.35), (0.0, 0.08), None),
-            (DetectorPerformance(0.59, 0.35), (0.0, 0.13), None),
+            (NOISY, (0.0, 0.08), None),
+            (NOISY, (0.0, 0.13), None),
         ],
     )
     def test_matches_naive_enumeration(self, seed, targets, top):
-        # The pruned batch search must agree with a naive scan of every
-        # schedule evaluated through the scalar path.
-        de_t, dcr_t = targets
-        query = OptimizationQuery(seed, BASELINE, de_t, dcr_t, max_levels=2, n_max=3)
-        configs = [(n, k) for n in range(1, 4) for k in range(1, n + 1)]
-        naive = []
-        for length in (1, 2):
-            for combo in product(configs, repeat=length):
-                sched = Schedule(
-                    BASELINE, tuple(LevelConfig(n, k) for n, k in combo)
-                )
-                traj = iterate_schedule(
-                    seed,
-                    sched,
-                    ConvergenceRule(max_levels=length, eta_tol=0.0, dcr_tol=0.0),
-                )
-                final = traj.final()
-                if final.eta >= de_t and final.dcr <= dcr_t:
-                    naive.append(
-                        RankedSchedule(sched, final, resource_cost(sched), length)
-                    )
-        naive.sort(
-            key=lambda r: (r.cost, r.final.dcr, -r.final.eta, r.levels_used, _encode(r))
-        )
-        if top is not None:
-            naive = naive[:top]
-        got = search_schedules(query, top=top)
-        assert [(_encode(r), r.final, r.cost, r.levels_used) for r in got] == [
-            (_encode(r), r.final, r.cost, r.levels_used) for r in naive
-        ]
+        _assert_matches_naive(seed, targets, top, max_levels=2)
+
+    @pytest.mark.parametrize(
+        "seed,targets,top",
+        [
+            # the floor drops rows at both frontier handoffs
+            (NOISY, (0.0, 0.08), None),
+            # ... and the cost prune at the second one
+            (NOISY, (0.0, 0.08), 1),
+            # the cost prune drops rows at both handoffs
+            (SEED, (0.7, 2e-2), 1),
+        ],
+    )
+    def test_matches_naive_enumeration_three_levels(self, seed, targets, top):
+        _assert_matches_naive(seed, targets, top, max_levels=3)
 
     def test_reference_targets_include_constant_config(self):
         # Full listing at the reference targets contains the constant (8,4)
         # schedule, landing on the known plateau.
         query = OptimizationQuery(SEED, BASELINE, 0.93, 1e-9, max_levels=4, n_max=8)
-        results = search_schedules(query, top=None)
+        tracemalloc.start()
+        try:
+            results = search_schedules(query, top=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The search's own peak: 95.5 MiB when each level was first copied whole
+        # into level-wide arrays, 36.5 MiB with each config's rows filtered as
+        # the kernel returns them.
+        assert peak < 50 * 2**20
         assert results
         encodings = {_encode(r): r for r in results}
         target = ((8, 4),) * 4
@@ -185,6 +182,50 @@ class TestSearchSchedules:
             OptimizationQuery(SEED, BASELINE, bad, 1e-6)
         with pytest.raises(ValueError, match="dcr_target"):
             OptimizationQuery(SEED, BASELINE, 0.9, bad)
+
+
+def _assert_matches_naive(seed, targets, top, max_levels):
+    # The pruned batch search must agree with a naive scan of every
+    # schedule of up to max_levels levels at n_max 3, evaluated through the
+    # scalar path.
+    de_t, dcr_t = targets
+    query = OptimizationQuery(seed, BASELINE, de_t, dcr_t, max_levels=max_levels, n_max=3)
+    configs = [(n, k) for n in range(1, 4) for k in range(1, n + 1)]
+    naive = []
+    for length in range(1, max_levels + 1):
+        for combo in product(configs, repeat=length):
+            sched = Schedule(BASELINE, tuple(LevelConfig(n, k) for n, k in combo))
+            traj = iterate_schedule(
+                seed, sched, ConvergenceRule(max_levels=length, eta_tol=0.0, dcr_tol=0.0)
+            )
+            final = traj.final()
+            if final.eta >= de_t and final.dcr <= dcr_t:
+                naive.append(RankedSchedule(sched, final, resource_cost(sched), length))
+    naive.sort(key=lambda r: (r.cost, r.final.dcr, -r.final.eta, r.levels_used, _encode(r)))
+    if top is not None:
+        naive = naive[:top]
+    got = search_schedules(query, top=top)
+    assert [(_encode(r), r.final, r.cost, r.levels_used) for r in got] == [
+        (_encode(r), r.final, r.cost, r.levels_used) for r in naive
+    ]
+
+
+class TestCostPrune:
+    """The cost prune drops no schedule among the `top` cheapest."""
+
+    @pytest.mark.parametrize("n_max,max_levels", [(3, 3), (4, 4)])
+    @pytest.mark.parametrize("targets", [(0.0, 1.0), (0.7, 2e-2), (0.9, 1e-4), (0.93, 1e-9)])
+    @pytest.mark.parametrize("seed", [SEED, NOISY, DetectorPerformance(0.275, 1e-6)])
+    # at top=32 a prefix's doubled cost equals the threshold in three of these
+    # queries, so a strict prune (2 * cost < threshold) fails there
+    @pytest.mark.parametrize("top", [1, 3, 10, 32, 50])
+    def test_top_is_prefix_of_full_listing(self, top, seed, targets, n_max, max_levels):
+        query = OptimizationQuery(seed, BASELINE, *targets, max_levels=max_levels, n_max=n_max)
+        full = search_schedules(query, top=None)
+        got = search_schedules(query, top=top)
+        assert got.configs == full.configs
+        for column in ("codes", "lengths", "costs", "eta", "dcr"):
+            assert np.array_equal(getattr(got, column), getattr(full, column)[:top]), column
 
 
 class TestDcrFloor:
