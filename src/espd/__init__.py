@@ -27,12 +27,11 @@ _MODULES = {
         "ComponentParams",
         "LevelConfig",
         "Schedule",
-        "LevelIntermediates",
         "Trajectory",
         "TrajectoryPoint",
         "ConvergenceRule",
-        "level_intermediates",
-        "approx_intermediates",
+        "firing_probs",
+        "approx_firing_probs",
         "de_loss_case",
         "de_survive_case",
         "level_map",

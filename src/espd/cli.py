@@ -13,7 +13,8 @@ partial file, and get the permissions of a plain write (the umask's).
 Exit codes: 0 success, 1 compute or tolerance failure,
 2 usage or validation failure.  When ``--out``/``--out-dir`` is omitted,
 relative defaults resolve against ``$ESPD_OUT_DIR`` (falling back to the
-working directory).
+working directory); an empty one, or an empty ``out`` in an ``iterate``
+config, is bad input.
 
 Errors: :func:`main` is the one place that turns an exception into an exit
 code.  A ``ValueError`` -- from the library's own checks or from the few
@@ -64,9 +65,11 @@ def _out_dir() -> Path:
 
 
 def _resolve_out(arg: str | None, default_name: str) -> Path:
-    if arg is not None:
-        return Path(arg)
-    return _out_dir() / default_name
+    if arg is None:
+        return _out_dir() / default_name
+    if not arg:
+        raise ValueError("output path must not be empty")
+    return Path(arg)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -171,13 +174,14 @@ def cmd_iterate(args) -> int:
     path = Path(args.config)
     try:
         init, schedule, rule, out = _parse_run_config(path, args.levels)
+        out_path = _resolve_out(out, "trajectory.csv")
     except (OSError, ValueError) as exc:
         # an unreadable config is bad input (exit 2), like an invalid one
         if isinstance(exc, json.JSONDecodeError):
             exc = f"line {exc.lineno} column {exc.colno}: {exc.msg}"
         raise ValueError(f"{path}: {exc}") from None
-
-    out_path = _resolve_out(args.out or out or None, "trajectory.csv")
+    if args.out is not None:
+        out_path = _resolve_out(args.out, "trajectory.csv")
     traj = iterate_schedule(init, schedule, rule)
     lines = ["level,n,k,de,dcr"]
     for pt in traj.points:
@@ -327,7 +331,9 @@ def cmd_qkd(args) -> int:
 def cmd_figdata(args) -> int:
     from . import golden
 
-    out_dir = Path(args.out_dir) if args.out_dir else _out_dir()
+    if args.out_dir == "":
+        raise ValueError("output directory must not be empty")
+    out_dir = _out_dir() if args.out_dir is None else Path(args.out_dir)
     written = []
     for stem, rows in golden.figure_panels(args.figure):
         lines = ["level,series_label,value"]
@@ -382,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="table number (2-7)")
     p_tab.add_argument("--out", default=None, help="report CSV path")
     p_tab.add_argument("--variant", choices=("exact", "approx"), default="exact",
-                       help="per-level intermediates variant (default exact)")
+                       help="firing-probability forms: exact, or approx for small dark "
+                            "counts (default exact)")
     p_tab.set_defaults(func=cmd_tables)
 
     p_opt = sub.add_parser("optimize", help="search (n, k) schedules for targets")

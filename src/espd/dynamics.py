@@ -13,6 +13,12 @@ The decomposition mirrors the physics: a signal photon either survives all
 the loss scenario every detector fires independently with one of four
 per-level probabilities (``p_pos``/``q_pos`` for auxiliaries fed by a
 non-vacuum/vacuum gate input, ``p_sig``/``q_sig`` for the signal detector).
+
+Those four are one tuple, from :func:`firing_probs` (or, for the golden
+tables' ``approx`` variant, :func:`approx_firing_probs`), and
+:func:`level_figures` maps a tuple to the next level's figures.  The scalar
+entries :func:`level_map`, :func:`de_loss_case` and :func:`de_survive_case`
+all take the validated ``(det, params, config)``.
 """
 
 from __future__ import annotations
@@ -35,13 +41,11 @@ __all__ = [
     "Schedule",
     "run_label",
     "schedule_label",
-    "LevelIntermediates",
     "TrajectoryPoint",
     "Trajectory",
     "ConvergenceRule",
     "firing_probs",
-    "level_intermediates",
-    "approx_intermediates",
+    "approx_firing_probs",
     "level_figures",
     "de_loss_case",
     "de_survive_case",
@@ -193,26 +197,6 @@ def schedule_label(schedule: tuple[LevelConfig, ...]) -> str:
 
 
 @dataclass(frozen=True)
-class LevelIntermediates:
-    """Per-detector positive-report probabilities for one level.
-
-    p_pos / q_pos -- auxiliary detector fires, non-vacuum / vacuum gate input
-    p_sig / q_sig -- signal detector fires, photon survived / was lost
-    """
-
-    p_pos: float
-    q_pos: float
-    p_sig: float
-    q_sig: float
-
-    def __post_init__(self) -> None:
-        check_prob("p_pos", self.p_pos)
-        check_prob("q_pos", self.q_pos)
-        check_prob("p_sig", self.p_sig)
-        check_prob("q_sig", self.q_sig)
-
-
-@dataclass(frozen=True)
 class TrajectoryPoint:
     level: int
     config: LevelConfig | None
@@ -228,8 +212,11 @@ class Trajectory:
     """
 
     points: tuple[TrajectoryPoint, ...]
-    converged: bool = False
     converged_at: int | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.converged_at is not None
 
     def final(self) -> DetectorPerformance:
         return self.points[-1].perf
@@ -277,31 +264,13 @@ def firing_probs(eta, dcr, P_act: float, Q_err: float) -> tuple:
     )
 
 
-def level_intermediates(
-    det: DetectorPerformance, params: ComponentParams
-) -> LevelIntermediates:
-    """Exact per-detector firing probabilities for the next level.
+def approx_firing_probs(eta, dcr, P_act: float, Q_err: float) -> tuple:
+    """Small-dark-count approximation of :func:`firing_probs`, same tuple order.
 
-    See :func:`firing_probs` for the formulas.
+    Used only by the ``approx`` variant of the golden tables (a diagnostic);
+    the exact forms are authoritative everywhere else.
     """
-    return LevelIntermediates(*firing_probs(det.eta, det.dcr, params.P_act, params.Q_err))
-
-
-def approx_intermediates(
-    det: DetectorPerformance, params: ComponentParams
-) -> LevelIntermediates:
-    """Small-dark-count approximation of :func:`level_intermediates`.
-
-    Used only for diagnostics (table-regression variant studies); the exact
-    forms are authoritative everywhere else.
-    """
-    eta, d = det.eta, det.dcr
-    return LevelIntermediates(
-        p_pos=min(params.P_act * eta, 1.0),
-        q_pos=min(params.Q_err * eta + d, 1.0),
-        p_sig=eta,
-        q_sig=d,
-    )
+    return min(P_act * eta, 1.0), min(Q_err * eta + dcr, 1.0), eta, dcr
 
 
 # The level map proper.  Every helper below works elementwise on Python
@@ -365,7 +334,7 @@ def level_figures(p_pos, q_pos, p_sig, q_sig, p: float, n: int, ks) -> list:
 
 
 def de_loss_case(
-    inter: LevelIntermediates, config: LevelConfig, i: int
+    det: DetectorPerformance, params: ComponentParams, config: LevelConfig, i: int
 ) -> float:
     """Positive-report probability given the photon was lost after module i.
 
@@ -373,26 +342,29 @@ def de_loss_case(
     ``p_pos`` and the remaining ``n - i`` with ``q_pos``; the signal detector
     sees vacuum (``q_sig``).  The vote tail is the convolution of the two
     auxiliary binomials, with the threshold lowered by one when the signal
-    detector fires.
+    detector fires.  This is the scenario :func:`level_map` weights by
+    ``p**(i-1) * (1-p)``, from the same :func:`firing_probs` and the same
+    operations.
     """
     n, k = config.n, config.k
-    if i < 1 or i > n:
-        raise ValueError(f"loss position i must be in [1, n], got i={i} with n={n}")
-    tails = _loss_tails(
-        *_power_pair(inter.p_pos, n), *_power_pair(inter.q_pos, n), n, i, (k - 1, k)
-    )
-    return _vote(inter.q_sig, tails, k)
+    check_int("loss position i", i, 1, n)
+    p_pos, q_pos, _, q_sig = firing_probs(det.eta, det.dcr, params.P_act, params.Q_err)
+    tails = _loss_tails(*_power_pair(p_pos, n), *_power_pair(q_pos, n), n, i, (k - 1, k))
+    return _vote(q_sig, tails, k)
 
 
-def de_survive_case(inter: LevelIntermediates, config: LevelConfig) -> float:
+def de_survive_case(
+    det: DetectorPerformance, params: ComponentParams, config: LevelConfig
+) -> float:
     """Positive-report probability given the photon survived all modules.
 
     All ``n`` auxiliaries fire with ``p_pos`` and the signal detector with
     ``p_sig``; a firing signal detector lowers the auxiliary vote threshold
-    by one.
+    by one.  This is the scenario :func:`level_map` weights by ``p**n``.
     """
-    table = binomial.tail_table(config.n, *_power_pair(inter.p_pos, config.n))
-    return _vote(inter.p_sig, table, config.k)
+    p_pos, _, p_sig, _ = firing_probs(det.eta, det.dcr, params.P_act, params.Q_err)
+    table = binomial.tail_table(config.n, *_power_pair(p_pos, config.n))
+    return _vote(p_sig, table, config.k)
 
 
 def level_map(
@@ -421,7 +393,6 @@ def iterate_schedule(
         stop = ConvergenceRule()
     points = [TrajectoryPoint(0, None, init)]
     det = init
-    converged = False
     converged_at: int | None = None
     for s in range(1, stop.max_levels + 1):
         config = schedule.levels[min(s, len(schedule.levels)) - 1]
@@ -431,12 +402,10 @@ def iterate_schedule(
             abs(nxt.eta - det.eta) < stop.eta_tol
             and abs(nxt.dcr - det.dcr) < stop.dcr_tol
         ):
-            converged = True
             converged_at = s
-            det = nxt
             break
         det = nxt
-    return Trajectory(tuple(points), converged, converged_at)
+    return Trajectory(tuple(points), converged_at)
 
 
 def effective_transmission(p: float, N: int) -> float:

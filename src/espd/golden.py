@@ -18,16 +18,14 @@ transmission sweep at (5, 2), and 7 the varied-(n, k) schedules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .dynamics import (
     ComponentParams,
     DetectorPerformance,
     LevelConfig,
-    LevelIntermediates,
-    approx_intermediates,
+    approx_firing_probs,
+    firing_probs,
     level_figures,
-    level_intermediates,
     schedule_label,
 )
 
@@ -50,12 +48,8 @@ DCR_REL_TOL = 0.10  # DCR tolerance, relative
 
 _LEVELS = 8
 
-IntermediatesFn = Callable[[DetectorPerformance, ComponentParams], LevelIntermediates]
-
-_VARIANTS: dict[str, IntermediatesFn] = {
-    "exact": level_intermediates,
-    "approx": approx_intermediates,
-}
+# variant -> its per-detector firing probabilities, one (p_pos, q_pos, p_sig, q_sig) tuple
+_VARIANTS = {"exact": firing_probs, "approx": approx_firing_probs}
 
 
 @dataclass(frozen=True)
@@ -507,16 +501,18 @@ FIGURES: dict[int, tuple[tuple[str, int, str], ...]] = {
 def series_trajectory(
     series: GoldenSeries, variant: str = "exact"
 ) -> list[DetectorPerformance]:
-    """Levels 0..8 of a reference series under the chosen intermediates."""
-    inter_fn = _VARIANTS[variant]
+    """Levels 0..8 of a reference series under the chosen firing probabilities.
+
+    Both variants feed their tuple to the one level map,
+    :func:`~espd.dynamics.level_figures`; the ``exact`` variant is the call
+    :func:`~espd.dynamics.level_map` makes.
+    """
+    probs = _VARIANTS[variant]
+    p, P, Q = series.params.p, series.params.P_act, series.params.Q_err
     det = series.seed
     rows = [det]
     for cfg in series.schedule:
-        inter = inter_fn(det, series.params)
-        ((de, dcr),) = level_figures(
-            inter.p_pos, inter.q_pos, inter.p_sig, inter.q_sig,
-            series.params.p, cfg.n, (cfg.k,),
-        )
+        ((de, dcr),) = level_figures(*probs(det.eta, det.dcr, P, Q), p, cfg.n, (cfg.k,))
         det = DetectorPerformance(de, dcr)
         rows.append(det)
     return rows

@@ -30,7 +30,6 @@ from espd import (
     find_fixed_points,
     gamma_approx,
     gamma_exact,
-    level_intermediates,
     level_map,
     mc_level,
     QkdScenario,
@@ -153,7 +152,7 @@ def test_criterion_02_table3_regression():
 def test_criterion_03_tables_4_to_7_regression():
     with criterion(3, "golden tables 4-7"):
         exact = {n: evaluate_table(n, "exact") for n in (4, 5, 6, 7)}
-        # The approximate intermediates are recorded alongside for reference.
+        # The approximate firing probabilities are recorded alongside for reference.
         approx = {n: evaluate_table(n, "approx") for n in (4, 5, 6, 7)}
         record = "\n" + "\n".join(
             f"table {n}: exact {exact[n].n_ok}/{exact[n].n_total} ok, "
@@ -239,8 +238,7 @@ def test_criterion_07_bound_suite():
             det = DetectorPerformance(eta, d)
             params = ComponentParams(p, P, Q)
             cfg = LevelConfig(n, k)
-            inter = level_intermediates(det, params)
-            survive_term = p**n * de_survive_case(inter, cfg)
+            survive_term = p**n * de_survive_case(det, params, cfg)
             assert survive_term <= level_map(det, params, cfg).eta + 1e-13
             if Q + d <= 1.0 and k - 1 >= n * (Q + d):
                 bound = dcr_upper_bound(d, Q, n, k)

@@ -240,6 +240,49 @@ class TestOptimize:
         ) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    # SHA-256 of each golden report and figure panel: a change to any value
+    # on the exact or the approx golden path changes one of them.
+    @pytest.mark.parametrize(
+        "extra,digest",
+        [
+            (["--table", "2"], "a476f0110cfdb1b39415e839848489df1b7c45ab667242d792ee3f2f836c2286"),
+            (["--table", "3"], "1b0b0d71613edf3ec908c659ff5f6f52367e0c3d818ea50ee0b07bac7275161f"),
+            (["--table", "4"], "789a254b08dd7df40ea0609619cc12f5b0dc2a8d1387d1696f2b92ce1d18fe78"),
+            (["--table", "5"], "4ddfd71dc729f3808387e08c710869fd6e9954e888ca30f9e193cd0b08265ede"),
+            (["--table", "6"], "94613ccaeb9c17e8536affe44144ca0e6b7a07e5749b901d23e9f5b9a2189410"),
+            (["--table", "7"], "5949a7024acd3dbae225494885117fcced2908ae6ba1704defe25e3113e93d2b"),
+            (["--table", "4", "--variant", "approx"],
+             "6073b0ea17ac59384268c3ce0b1432e873fec6306f6be6aed3b162809d154388"),
+        ],
+    )
+    def test_table_csv_bytes_pinned(self, tmp_path, extra, digest):
+        out = tmp_path / "t.csv"
+        # tables 3-5 carry published misprints, so they exit 1
+        assert main(["tables", *extra, "--out", str(out)]) in (0, 1)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "figure,digests",
+        [
+            (2, {"fig2_seed59_de": "af979d6ad129312efa3937710d8101f03691233ba1268d4bd57c9645eaa3fafe",
+                 "fig2_seed59_dcr": "d09cd4aae68b50495f48140d977089c84c085ee0cc29e0b18977700bb5d26ed2",
+                 "fig2_seed27_de": "e0477aae6dd74aba72e8c108f3d88ef138fb519a068fb0cd706ae434a9d8f578",
+                 "fig2_seed27_dcr": "fae2d53191e857e1e5c64e77cf80c6c538059924436820084bb8573e88498edd"}),
+            (3, {"fig3_de": "4208f6a0b45f346d4bb8ad1bbadcc7d0005bdb768f5892696b59dc764ae684f8",
+                 "fig3_dcr": "5a67c4d1e114d4e3ed13b6f1edd3949a4a6a3642ccbce7a2e52c302bfb6426ba"}),
+            (4, {"fig4_P080_de": "c909c950a6c2c14703b524420d4c74b2d4bc73a352c2ceb593507a387e25c4f2",
+                 "fig4_P080_dcr": "c3e9c1ceb4a941429161a16fef4c78a70cc58bca58362fc66ecb34a36cefaef9",
+                 "fig4_P040_de": "5a5d6a254478b3fe2d597c15092ae5f87e83e29047ae57a37544ba27f014afcb",
+                 "fig4_P040_dcr": "c2e3e72d9d58aff21eddf68af8b0828e10b2dc70d934b0d4b764202aec85c281"}),
+            (5, {"fig5_de": "4919018e01b29d017023518ca93b60534478b6af54b2da458754ada9df569e2d",
+                 "fig5_dcr": "082a4bd0df4fff3da0984a370a030100306d550a14eaedbde0c98c2ee32a3fb2"}),
+        ],
+    )
+    def test_figure_csv_bytes_pinned(self, tmp_path, figure, digests):
+        assert main(["figdata", "--figure", str(figure), "--out-dir", str(tmp_path)]) == 0
+        got = {p.stem: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert got == digests
+
     def test_pareto_flag_subsets_ranking(self, tmp_path):
         base = ["optimize", "--de-target", "0.9", "--dcr-target", "1e-3",
                 "--max-levels", "2", "--n-max", "5", "--top", "30"]
@@ -437,6 +480,29 @@ class TestErrorBoundary:
             "figdata": ["figdata", "--figure", "5", "--out-dir", str(tmp_path / "figs")],
             "fixedpoints": ["fixedpoints", "--n", "4", "--k", "2", "--grid", "100"],
         }[command]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tables", "--table", "2", "--out", ""],
+            ["optimize", "--de-target", "0.9", "--dcr-target", "1e-3",
+             "--max-levels", "2", "--n-max", "4", "--out", ""],
+            ["iterate", "cfg.json", "--out", ""],
+            ["iterate", "empty_out.json"],
+            ["figdata", "--figure", "3", "--out-dir", ""],
+        ],
+        ids=["tables", "optimize", "iterate-flag", "iterate-config", "figdata"],
+    )
+    def test_empty_output_path_is_bad_input(self, tmp_path, capsys, monkeypatch, argv):
+        # an empty path names no file: it must not fall back to a default one
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("ESPD_OUT_DIR", str(tmp_path / "default"))
+        write_config(tmp_path / "cfg.json")
+        write_config(tmp_path / "empty_out.json", out="")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json", "empty_out.json"]
 
     @pytest.mark.parametrize("command", ["iterate", "tables", "optimize"])
     def test_unwritable_out(self, tmp_path, capsys, command):

@@ -20,18 +20,17 @@ from espd import (
     ConvergenceRule,
     DetectorPerformance,
     LevelConfig,
-    LevelIntermediates,
     Schedule,
-    approx_intermediates,
+    approx_firing_probs,
     de_loss_case,
     de_survive_case,
     effective_transmission,
+    firing_probs,
     iterate_schedule,
-    level_intermediates,
     level_map,
 )
 from espd import _kernels, de_gain, decision_poly
-from espd.dynamics import check_int, firing_probs, level_figures
+from espd.dynamics import check_int, level_figures
 
 BASELINE = ComponentParams(p=0.98, P_act=0.97, Q_err=0.002)
 
@@ -88,21 +87,17 @@ def model_draws(draw):
 
 class TestIntermediates:
     def test_all_zero_input(self):
-        inter = level_intermediates(DetectorPerformance(0, 0), BASELINE)
-        assert inter == LevelIntermediates(0, 0, 0, 0)
+        assert firing_probs(0, 0, BASELINE.P_act, BASELINE.Q_err) == (0, 0, 0, 0)
 
     def test_perfect_device(self):
-        inter = level_intermediates(
-            DetectorPerformance(1, 0), ComponentParams(0.9, 1.0, 0.0)
-        )
-        assert inter == LevelIntermediates(1, 0, 1, 0)
+        assert firing_probs(1, 0, 1.0, 0.0) == (1, 0, 1, 0)
 
     def test_direct_arithmetic(self):
-        inter = level_intermediates(DetectorPerformance(0.59, 0.01), BASELINE)
-        assert inter.p_pos == pytest.approx(0.97 * 0.59 * 0.99 + 0.01, abs=1e-15)
-        assert inter.q_pos == pytest.approx(0.002 * 0.59 * 0.99 + 0.01, abs=1e-15)
-        assert inter.p_sig == pytest.approx(0.59 + 0.41 * 0.01, abs=1e-15)
-        assert inter.q_sig == 0.01
+        p_pos, q_pos, p_sig, q_sig = firing_probs(0.59, 0.01, BASELINE.P_act, BASELINE.Q_err)
+        assert p_pos == pytest.approx(0.97 * 0.59 * 0.99 + 0.01, abs=1e-15)
+        assert q_pos == pytest.approx(0.002 * 0.59 * 0.99 + 0.01, abs=1e-15)
+        assert p_sig == pytest.approx(0.59 + 0.41 * 0.01, abs=1e-15)
+        assert q_sig == 0.01
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError, match="eta"):
@@ -117,7 +112,7 @@ class TestIntermediates:
             lambda v: DetectorPerformance(v, 0.1),
             lambda v: DetectorPerformance(0.5, v),
             lambda v: ComponentParams(0.9, v, 0.0),
-            lambda v: LevelIntermediates(0.5, 0.5, 0.5, v),
+            lambda v: ComponentParams(v, 0.9, 0.0),
             lambda v: decision_poly(0.5, 4, 2, v),
             lambda v: de_gain(0.5, v, 0.9, 4, 2),
         ],
@@ -143,55 +138,60 @@ class TestIntermediates:
             fp = firing_probs(eta, d, P, Q)
             assert all(0.0 <= x <= 1.0 for x in fp), (eta, d, P, Q, fp)
 
-    @given(det_eta=probs, det_d=probs, P=probs, Q=probs, p=probs)
-    def test_q_pos_below_p_pos_when_q_below_p(self, det_eta, det_d, P, Q, p):
+    @given(det_eta=probs, det_d=probs, P=probs, Q=probs)
+    def test_q_pos_below_p_pos_when_q_below_p(self, det_eta, det_d, P, Q):
         lo, hi = sorted((P, Q))
-        inter = level_intermediates(
-            DetectorPerformance(det_eta, det_d), ComponentParams(p, hi, lo)
-        )
-        assert inter.q_pos <= inter.p_pos + 1e-15
+        p_pos, q_pos, _, _ = firing_probs(det_eta, det_d, hi, lo)
+        assert q_pos <= p_pos + 1e-15
 
 
 class TestDeLossCase:
     def test_zero_intermediates(self):
-        inter = LevelIntermediates(0, 0, 0, 0)
+        # a dark, blind detector: every firing probability is 0
         for i in (1, 2, 3):
-            assert de_loss_case(inter, LevelConfig(3, 1), i) == 0.0
+            assert de_loss_case(DetectorPerformance(0, 0), BASELINE, LevelConfig(3, 1), i) == 0.0
 
     def test_guaranteed_positives(self):
-        inter = LevelIntermediates(1.0, 0.0, 0.5, 0.0)
-        assert de_loss_case(inter, LevelConfig(4, 2), 3) == 1.0
+        # p_pos = 1, q_pos = q_sig = 0: the i = 3 activated auxiliaries meet k = 2
+        params = ComponentParams(0.9, 1.0, 0.0)
+        assert de_loss_case(DetectorPerformance(1, 0), params, LevelConfig(4, 2), 3) == 1.0
 
     def test_matches_brute_force(self):
-        inter = LevelIntermediates(0.5, 0.1, 0.7, 0.2)
+        # p_pos = 0.5 * 0.5 * 0.9 + 0.1 = 0.325, q_pos = q_sig = 0.1
+        det, params = DetectorPerformance(0.5, 0.1), ComponentParams(0.98, 0.5, 0.0)
         cfg = LevelConfig(3, 2)
-        expected = 0.8 * brute_vote([0.5, 0.1, 0.1], 2) + 0.2 * brute_vote(
-            [0.5, 0.1, 0.1], 1
+        expected = 0.9 * brute_vote([0.325, 0.1, 0.1], 2) + 0.1 * brute_vote(
+            [0.325, 0.1, 0.1], 1
         )
-        assert de_loss_case(inter, cfg, 1) == pytest.approx(expected, abs=1e-12)
+        assert de_loss_case(det, params, cfg, 1) == pytest.approx(expected, abs=1e-12)
 
     def test_loss_position_out_of_range(self):
-        inter = LevelIntermediates(0.5, 0.1, 0.7, 0.2)
+        det = DetectorPerformance(0.5, 0.2)
         with pytest.raises(ValueError, match="loss position"):
-            de_loss_case(inter, LevelConfig(3, 2), 0)
+            de_loss_case(det, BASELINE, LevelConfig(3, 2), 0)
         with pytest.raises(ValueError, match="loss position"):
-            de_loss_case(inter, LevelConfig(3, 2), 4)
+            de_loss_case(det, BASELINE, LevelConfig(3, 2), 4)
+        # a count, like n and k: True is not 1 and 2.0 is not 2
+        for bad in (True, 2.0, "2"):
+            with pytest.raises(ValueError, match="loss position i must be an integer"):
+                de_loss_case(det, BASELINE, LevelConfig(3, 2), bad)
 
 
 class TestDeSurviveCase:
     def test_certain_detection(self):
-        inter = LevelIntermediates(1.0, 0.0, 1.0, 0.0)
-        assert de_survive_case(inter, LevelConfig(5, 1)) == 1.0
+        # p_pos = p_sig = 1
+        params = ComponentParams(0.9, 1.0, 0.0)
+        assert de_survive_case(DetectorPerformance(1, 0), params, LevelConfig(5, 1)) == 1.0
 
     def test_no_signal(self):
-        inter = LevelIntermediates(0.0, 0.0, 0.0, 0.0)
-        assert de_survive_case(inter, LevelConfig(5, 2)) == 0.0
+        assert de_survive_case(DetectorPerformance(0, 0), BASELINE, LevelConfig(5, 2)) == 0.0
 
     def test_two_line_identity_and_brute_force(self):
         # The threshold-shift mixture equals the single-term reformulation.
-        inter = LevelIntermediates(0.6, 0.0, 0.9, 0.0)
+        # No dark counts: p_sig = eta = 0.9 and p_pos = P_act * eta = 0.6.
+        det, params = DetectorPerformance(0.9, 0.0), ComponentParams(0.98, 0.6 / 0.9, 0.0)
         cfg = LevelConfig(4, 2)
-        got = de_survive_case(inter, cfg)
+        got = de_survive_case(det, params, cfg)
         n, k, x = 4, 2, 0.6
         tail = sum(
             math.comb(n, j) * x**j * (1 - x) ** (n - j) for j in range(k, n + 1)
@@ -206,20 +206,36 @@ class TestDeSurviveCase:
     @settings(max_examples=150)
     def test_two_line_identity_randomized(self, draw):
         det, params, cfg = draw
-        inter = level_intermediates(det, params)
-        got = de_survive_case(inter, cfg)
-        n, k, x = cfg.n, cfg.k, inter.p_pos
+        x, _, p_sig, _ = firing_probs(det.eta, det.dcr, params.P_act, params.Q_err)
+        got = de_survive_case(det, params, cfg)
+        n, k = cfg.n, cfg.k
         tail = sum(
             math.comb(n, j) * x**j * (1 - x) ** (n - j) for j in range(k, n + 1)
         )
         reform = (
-            inter.p_sig
+            p_sig
             * math.comb(n, k - 1)
             * x ** (k - 1)
             * (1 - x) ** (n - k + 1)
             + tail
         )
         assert got == pytest.approx(reform, abs=1e-13)
+
+
+class TestScenarioDecomposition:
+    """The scenario functions are the level map's pieces, not a second copy of it."""
+
+    @given(model_draws())
+    @settings(max_examples=300)
+    def test_weighted_scenarios_are_the_level_map_bit_for_bit(self, draw):
+        det, params, cfg = draw
+        p = params.p
+        t, pw = 0.0, 1.0
+        for i in range(1, cfg.n + 1):
+            t = t + pw * (1.0 - p) * de_loss_case(det, params, cfg, i)
+            pw = pw * p
+        de = min(t + pw * de_survive_case(det, params, cfg), 1.0)
+        assert de == level_map(det, params, cfg).eta
 
 
 class TestLevelDeDcr:
@@ -272,8 +288,7 @@ class TestLevelDeDcr:
     @settings(max_examples=100)
     def test_survive_term_lower_bounds_de(self, draw):
         det, params, cfg = draw
-        inter = level_intermediates(det, params)
-        lower = params.p**cfg.n * de_survive_case(inter, cfg)
+        lower = params.p**cfg.n * de_survive_case(det, params, cfg)
         assert lower <= level_map(det, params, cfg).eta + 1e-13
 
     @given(model_draws())
@@ -281,13 +296,13 @@ class TestLevelDeDcr:
     def test_dcr_reformulation_identity(self, draw):
         # Mixture over the signal detector == single-term reformulation.
         det, params, cfg = draw
-        inter = level_intermediates(det, params)
-        n, k, q = cfg.n, cfg.k, inter.q_pos
+        _, q, _, q_sig = firing_probs(det.eta, det.dcr, params.P_act, params.Q_err)
+        n, k = cfg.n, cfg.k
         tail = sum(
             math.comb(n, j) * q**j * (1 - q) ** (n - j) for j in range(k, n + 1)
         )
         reform = (
-            inter.q_sig
+            q_sig
             * math.comb(n, k - 1)
             * q ** (k - 1)
             * (1 - q) ** (n - k + 1)
@@ -490,6 +505,8 @@ class TestIterateSchedule:
         sched = Schedule(BASELINE, (cfg,))
         rule = ConvergenceRule(max_levels=6, eta_tol=0.0, dcr_tol=0.0)
         traj = iterate_schedule(DetectorPerformance(0.59, 1e-2), sched, rule)
+        # zero tolerances never stop early
+        assert not traj.converged and traj.converged_at is None
         det = DetectorPerformance(0.59, 1e-2)
         for pt in traj.points[1:]:
             det = level_map(det, BASELINE, cfg)
@@ -545,8 +562,10 @@ class TestEffectiveTransmission:
 
 class TestApproxIntermediates:
     def test_small_dark_count_forms(self):
-        inter = approx_intermediates(DetectorPerformance(0.59, 0.01), BASELINE)
-        assert inter.p_pos == pytest.approx(0.97 * 0.59, abs=1e-15)
-        assert inter.q_pos == pytest.approx(0.002 * 0.59 + 0.01, abs=1e-15)
-        assert inter.p_sig == 0.59
-        assert inter.q_sig == 0.01
+        p_pos, q_pos, p_sig, q_sig = approx_firing_probs(
+            0.59, 0.01, BASELINE.P_act, BASELINE.Q_err
+        )
+        assert p_pos == pytest.approx(0.97 * 0.59, abs=1e-15)
+        assert q_pos == pytest.approx(0.002 * 0.59 + 0.01, abs=1e-15)
+        assert p_sig == 0.59
+        assert q_sig == 0.01
