@@ -10,9 +10,13 @@ threshold k of that n in one pass.
 
 Two prunes keep the tree manageable without touching exactness:
 
-* once the requested number of feasible schedules is in hand, prefixes
-  whose cheapest possible extension (cost doubling per level) already
-  exceeds the current M-th best cost stop expanding;
+* once the requested number M of feasible schedules is in hand, a parent
+  is expanded at n only while its child's cost, cost * (n + 1), is at most
+  the M-th least feasible cost found so far (ties are expanded).  A dearer
+  child ranks after M schedules already found, since cost is the first
+  sort key, and its extensions cost more still.  The threshold is updated
+  after each n, inside a level; the cut threshold // (n + 1) only falls as
+  n grows, so a level stops at the first n that passes no parent;
 * prefixes whose dark-count rate provably cannot reach the target even
   under the best possible continuation (an exact lower bound on the
   next-level dark count, iterated over the remaining depth) stop
@@ -20,8 +24,7 @@ Two prunes keep the tree manageable without touching exactness:
 
 Each config's rows are filtered as they leave the kernel: its feasible rows
 join the results, and only its rows above the dark-count floor join the
-next frontier, to which the cost prune applies once the level is done.  No
-level holds a copy of every unfiltered row.
+next frontier.  No level holds a copy of every unfiltered row.
 
 The batch kernel runs the scalar level map's own code on arrays, so the
 final performance recorded for every returned schedule is bit-identical to
@@ -188,8 +191,11 @@ def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchRe
 
     Each config's rows are filtered as they leave the kernel: the feasible
     ones join the results and the dark-count floor picks those that join
-    the next frontier.  The cost prune, whose threshold needs the whole
-    level's results, then acts once on that frontier.
+    the next frontier.  With `top` set, each level's frontier is sorted by
+    cost, and once `top` feasible rows are known the kernel at n gets only
+    the prefix of parents with ``cost * (n + 1) <= threshold``, the `top`-th
+    least feasible cost so far.  The threshold is updated after every n, so
+    the larger n of a level already see the rows its smaller n found.
     """
     if top is not None:
         check_int("top", top, 1)
@@ -205,22 +211,38 @@ def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchRe
 
     # feasible (codes, lengths, costs, eta, dcr) columns, one tuple per config per level
     found: list[tuple[np.ndarray, ...]] = []
+    # the least `top` feasible costs found so far (all of them while fewer);
+    # once there are `top`, the greatest is the cost gate's threshold
+    ranked = np.zeros(0, dtype=np.int64)
+    threshold = None
 
     for level in range(1, query.max_levels + 1):
         remaining = query.max_levels - level
+        if top is not None:
+            # cheapest parents first, so the gate passes a prefix
+            order = np.argsort(costs, kind="stable")
+            etas, ds, codes, costs = etas[order], ds[order], codes[order], costs[order]
         # the (eta, dcr, codes, costs) rows each config passes to the next level
         frontier: list[tuple[np.ndarray, ...]] = []
         shifted = codes << np.uint64(8)
         config = 0  # a config's code is its 1-based index in configs
         for n in range(1, query.n_max + 1):
+            e, d, sh, c = etas, ds, shifted, costs
+            if threshold is not None:
+                # the gate: a child dearer than the threshold ranks after `top` rows found
+                rows = int(np.searchsorted(costs, threshold // (n + 1), side="right"))
+                if rows == 0:
+                    break  # the cut only falls as n grows
+                if rows < len(costs):
+                    e, d, sh, c = e[:rows], d[:rows], sh[:rows], c[:rows]
             # every threshold of one n in one kernel call, in (n, k) order
             figures = _kernels.level_map_batch(
-                etas, ds, params.p, params.P_act, params.Q_err, n, range(1, n + 1)
+                e, d, params.p, params.P_act, params.Q_err, n, range(1, n + 1)
             )
-            cost2 = costs * (n + 1)
+            cost2 = c * (n + 1)
             for e2, d2 in figures:
                 config += 1
-                code2 = shifted | np.uint64(config)
+                code2 = sh | np.uint64(config)
                 feas = (e2 >= query.de_target) & (d2 <= query.dcr_target)
                 found.append((
                     code2[feas], np.full(np.count_nonzero(feas), level, dtype=np.int64),
@@ -229,15 +251,15 @@ def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchRe
                 if remaining:
                     keep = _dcr_floor(d2, query.n_max, remaining) <= query.dcr_target
                     frontier.append((e2[keep], d2[keep], code2[keep], cost2[keep]))
+            if top is not None:
+                ranked = np.concatenate([ranked, *(f[2] for f in found[-n:])])
+                if len(ranked) >= top:
+                    ranked = np.partition(ranked, top - 1)[:top]
+                    threshold = int(ranked[-1])
 
-        if not remaining:
+        if not remaining or not frontier:
             break
         etas, ds, codes, costs = map(np.concatenate, zip(*frontier))
-        if top is not None and sum(len(f[2]) for f in found) >= top:
-            # an extension costs at least twice its prefix
-            threshold = np.partition(np.concatenate([f[2] for f in found]), top - 1)[top - 1]
-            keep = 2 * costs <= threshold
-            etas, ds, codes, costs = etas[keep], ds[keep], codes[keep], costs[keep]
         if etas.shape[0] == 0:
             break
 

@@ -240,6 +240,17 @@ class TestOptimize:
         ) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_top_beyond_listing_writes_full_listing(self, tmp_path):
+        # --top above the 37,546-row listing: the pinned --top 0 digest
+        out = tmp_path / "s.csv"
+        assert main(
+            ["optimize", "--de-target", "0.93", "--dcr-target", "1e-9", "--top", "1000000",
+             "--max-levels", "4", "--n-max", "8", "--out", str(out)]
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "8e9efee8c845b0b5f013e998aef945643f993efc2e678c6abcca9dd895c8c43a"
+        )
+
     # SHA-256 of each golden report and figure panel: a change to any value
     # on the exact or the approx golden path changes one of them.
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Schedule-search and Pareto-front tests."""
 
+import functools
 import math
 import tracemalloc
 from itertools import product
@@ -226,6 +227,48 @@ class TestCostPrune:
         assert got.configs == full.configs
         for column in ("codes", "lengths", "costs", "eta", "dcr"):
             assert np.array_equal(getattr(got, column), getattr(full, column)[:top]), column
+
+    @pytest.mark.parametrize("targets", [(0.9, 1e-4), (0.93, 1e-9)])
+    @pytest.mark.parametrize("seed", [SEED, NOISY, DetectorPerformance(0.275, 1e-6)])
+    @pytest.mark.parametrize("top", [1, 50, 300])
+    def test_top_is_prefix_of_full_listing_at_n_max_12(self, top, seed, targets):
+        # At n_max 12 the gate cuts a parent at some n of a level while it
+        # still expands it at smaller n.
+        query = OptimizationQuery(seed, BASELINE, *targets, max_levels=3, n_max=12)
+        full = _full_listing(query)
+        got = search_schedules(query, top=top)
+        for column in ("codes", "lengths", "costs", "eta", "dcr"):
+            assert np.array_equal(getattr(got, column), getattr(full, column)[:top]), column
+
+    def test_gate_updates_within_a_level(self, monkeypatch):
+        # On the search-top query only 4 rows are feasible within two levels,
+        # so level 3 starts with no threshold and its n = 1 call gets the
+        # whole frontier.  The rows its small n find must already shrink
+        # what its larger n pass to the kernel; a threshold frozen at the
+        # start of each level passes the whole frontier at every n there.
+        query = OptimizationQuery(SEED, BASELINE, 0.93, 1e-9, max_levels=4, n_max=12)
+        calls = []  # (level, n, rows) of every kernel call
+        kernel = _kernels.level_map_batch
+
+        def spy(eta, *args):
+            n = args[4]
+            level = calls[-1][0] + (n <= calls[-1][1]) if calls else 1
+            calls.append((level, n, len(eta)))
+            return kernel(eta, *args)
+
+        monkeypatch.setattr(_kernels, "level_map_batch", spy)
+        assert len(search_schedules(query, top=50)) == 50
+        level3 = {n: rows for level, n, rows in calls if level == 3}
+        assert len(level3) == query.n_max  # this query's gate stops no level early
+        frontier = level3[1]
+        assert all(rows < frontier for n, rows in level3.items() if n >= 6)
+        # state-thresholds evaluated: 722,592 without the gate, 114,358 with it
+        assert sum(rows * n for _, n, rows in calls) <= 120_000
+
+
+@functools.lru_cache(maxsize=None)
+def _full_listing(query):
+    return search_schedules(query, top=None)
 
 
 class TestDcrFloor:
