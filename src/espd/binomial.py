@@ -32,13 +32,8 @@ __all__ = [
 
 def clamp1(v):
     """``min(v, 1)`` for a float or, elementwise, an ndarray."""
-    if isinstance(v, float):
-        return min(v, 1.0)
-    # an ndarray argument means numpy is loaded already; importing it here
-    # keeps the scalar path free of it
-    import numpy as np
-
-    return np.minimum(v, 1.0) if isinstance(v, np.ndarray) else min(v, 1.0)
+    # ndarray.clip with only a max is np.minimum, without importing numpy here
+    return min(v, 1.0) if isinstance(v, float) else v.clip(max=1.0)
 
 
 def powers(x, n: int) -> list:

@@ -18,11 +18,13 @@ config, is bad input.
 
 Errors: :func:`main` is the one place that turns an exception into an exit
 code.  A ``ValueError`` -- from the library's own checks or from the few
-checks kept here -- prints ``error: <msg>`` and exits 2; an ``OSError``
-prints ``error: <msg>`` and exits 1.  Commands check nothing the library
-already checks under the same name.  ``iterate`` names the config file in
-front of every error in it (a bad ``--levels`` is the flag's, not the
-file's); ``qkd`` reports a failed threshold computation with exit 1.
+checks kept here -- prints ``error: <msg>`` and exits 2; an ``OSError`` or
+a ``MemoryError`` prints ``error: <msg>`` (``error: out of memory`` if the
+message is empty) and exits 1.  Commands check nothing the library already
+checks under the same name; ``oracle`` only prints ``oracle_report``'s
+figures and verdict.  ``iterate`` names the config file in front of every
+error in it (a bad ``--levels`` is the flag's, not the file's); ``qkd``
+reports a failed threshold computation with exit 1.
 
 Imports: only :mod:`espd.dynamics` is imported at the top, since every
 command needs it (it also holds the run labels of the schedule CSV).  Each
@@ -91,10 +93,6 @@ def _atomic_write(path: Path, text: str) -> None:
 
 def _err(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
-
-
-def _binom_stderr(prob: float, trials: int) -> float:
-    return (prob * (1.0 - prob) / trials) ** 0.5
 
 
 def _load_json(path: Path) -> dict:
@@ -265,25 +263,10 @@ def cmd_oracle(args) -> int:
     from . import oracle  # loads numpy, which the other commands never need
 
     init, params = _model(vars(args))
-    # the enumeration cap fails here, before oracle_report runs its Monte Carlo route
-    if args.n > oracle.ENUM_MAX_N:
-        raise ValueError(f"n must be <= {oracle.ENUM_MAX_N} for enumeration, got {args.n}")
-    config = LevelConfig(args.n, args.k)
-    # oracle_report checks the trial and thread counts and the seed before any work
+    # oracle_report checks n, the counts and the seed before any work
     report = oracle.oracle_report(
-        init, params, config, args.trials, args.seed, threads=args.threads
-    )
-
-    enum_ok = report.enum_abs_err_de <= 1e-12 and report.enum_abs_err_dcr <= 1e-12
-    # The sampling band is centered on the enumerated truth; the estimate's
-    # own stderr collapses to zero when every trial lands the same way.
-    band_de = 5.0 * max(report.mc_stderr_de, _binom_stderr(report.enum_de, args.trials))
-    band_dcr = 5.0 * max(
-        report.mc_stderr_dcr, _binom_stderr(report.enum_dcr, args.trials)
-    )
-    mc_ok = (
-        abs(report.mc_de - report.enum_de) <= band_de
-        and abs(report.mc_dcr - report.enum_dcr) <= band_dcr
+        init, params, LevelConfig(args.n, args.k), args.trials, args.seed,
+        threads=args.threads,
     )
     for name in (
         "closed_de",
@@ -300,9 +283,9 @@ def cmd_oracle(args) -> int:
         print(f"{name}={_fmt(getattr(report, name))}")
     print(f"trials={report.trials}")
     print(f"seed={report.seed}")
-    print(f"enum_within_1e-12={'yes' if enum_ok else 'no'}")
-    print(f"mc_within_5_stderr={'yes' if mc_ok else 'no'}")
-    return 0 if (enum_ok and mc_ok) else 1
+    print(f"enum_within_1e-12={'yes' if report.enum_ok else 'no'}")
+    print(f"mc_within_5_stderr={'yes' if report.mc_ok else 'no'}")
+    return 0 if (report.enum_ok and report.mc_ok) else 1
 
 
 def cmd_qkd(args) -> int:
@@ -331,9 +314,7 @@ def cmd_qkd(args) -> int:
 def cmd_figdata(args) -> int:
     from . import golden
 
-    if args.out_dir == "":
-        raise ValueError("output directory must not be empty")
-    out_dir = _out_dir() if args.out_dir is None else Path(args.out_dir)
+    out_dir = _resolve_out(args.out_dir, "")
     written = []
     for stem, rows in golden.figure_panels(args.figure):
         lines = ["level,series_label,value"]
@@ -453,6 +434,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         _err(str(exc))
+        return 1
+    except MemoryError as exc:
+        _err(str(exc) or "out of memory")
         return 1
 
 

@@ -62,6 +62,17 @@ class OracleReport:
     seed: int
     enum_abs_err_de: float
     enum_abs_err_dcr: float
+    enum_ok: bool
+    mc_ok: bool
+
+
+def _check_enum_size(n: int) -> None:
+    if n > ENUM_MAX_N:
+        raise ValueError(f"enumeration supports n <= {ENUM_MAX_N}, got n={n}")
+
+
+def _binom_stderr(prob: float, trials: int) -> float:
+    return math.sqrt(prob * (1.0 - prob) / trials)
 
 
 def _scenario_probs(det: DetectorPerformance, params: ComponentParams):
@@ -87,8 +98,7 @@ def enumerate_level(
     Vacuum branch: a single scenario, all auxiliaries at ``q_pos``.
     """
     n, k = config.n, config.k
-    if n > ENUM_MAX_N:
-        raise ValueError(f"enumeration supports n <= {ENUM_MAX_N}, got n={n}")
+    _check_enum_size(n)
     p = params.p
     p_pos, q_pos, p_sig, q_sig = _scenario_probs(det, params)
 
@@ -156,9 +166,7 @@ def mc_level(
     dcr_count = sum(c[1] for c in counts)
     de_hat = de_count / trials
     dcr_hat = dcr_count / trials
-    stderr_de = math.sqrt(de_hat * (1.0 - de_hat) / trials)
-    stderr_dcr = math.sqrt(dcr_hat * (1.0 - dcr_hat) / trials)
-    return de_hat, dcr_hat, stderr_de, stderr_dcr
+    return de_hat, dcr_hat, _binom_stderr(de_hat, trials), _binom_stderr(dcr_hat, trials)
 
 
 def oracle_report(
@@ -169,11 +177,21 @@ def oracle_report(
     seed: int,
     threads: int = 1,
 ) -> OracleReport:
-    """Run all three routes for one level map and assemble the comparison."""
-    # Monte Carlo first: its count checks then reject bad input before any work
+    """Run all three routes for one level map and assemble the comparison.
+
+    ``enum_ok``: enumeration within 1e-12 of the closed form.  ``mc_ok``: each
+    estimate within ``5 * max(its stderr, the enumerated truth's stderr)`` of
+    the enumeration; the estimate's own stderr is 0 when every trial lands
+    the same way.  Bad input raises ``ValueError`` before any route runs.
+    """
+    _check_enum_size(config.n)
+    # Monte Carlo before enumeration: its count checks reject bad input before any work
     mc_de, mc_dcr, se_de, se_dcr = mc_level(det, params, config, trials, seed, threads)
     closed = level_map(det, params, config)
     enum_de, enum_dcr = enumerate_level(det, params, config)
+    err_de, err_dcr = abs(closed.eta - enum_de), abs(closed.dcr - enum_dcr)
+    band_de = 5.0 * max(se_de, _binom_stderr(enum_de, trials))
+    band_dcr = 5.0 * max(se_dcr, _binom_stderr(enum_dcr, trials))
     return OracleReport(
         closed_de=closed.eta,
         closed_dcr=closed.dcr,
@@ -185,6 +203,8 @@ def oracle_report(
         mc_stderr_dcr=se_dcr,
         trials=trials,
         seed=seed,
-        enum_abs_err_de=abs(closed.eta - enum_de),
-        enum_abs_err_dcr=abs(closed.dcr - enum_dcr),
+        enum_abs_err_de=err_de,
+        enum_abs_err_dcr=err_dcr,
+        enum_ok=err_de <= 1e-12 and err_dcr <= 1e-12,
+        mc_ok=abs(mc_de - enum_de) <= band_de and abs(mc_dcr - enum_dcr) <= band_dcr,
     )

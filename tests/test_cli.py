@@ -115,6 +115,24 @@ class TestIterate:
             f"error: {bad}: max_levels must be an integer in [1, 1000], got 0\n"
         )
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[1, 2]", "top level must be a JSON object"),
+            ('{"eta0": 0.59, "d0": 0.01, "p": 0.98, "P": 0.97, "schedule": [[4, 1]]}',
+             "missing key 'Q'"),
+            ('{"eta0": 0.59, "d0": 0.01, "p": 0.98, "P": 0.97, "Q": 0.002,'
+             ' "schedule": [[4, 1]], "out": 5}', "out must be a string path"),
+        ],
+        ids=["not-object", "missing-key", "non-string-out"],
+    )
+    def test_malformed_config_rejected(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["iterate", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert not (tmp_path / "t.csv").exists()
+
     def test_no_partial_file_on_failure(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", schedule=[])
         out = tmp_path / "traj.csv"
@@ -156,6 +174,14 @@ class TestTables:
             os.umask(old)
         assert stat.S_IMODE(out.stat().st_mode) == 0o644
         assert [p.name for p in tmp_path.iterdir()] == ["t2.csv"]
+
+    def test_out_is_directory(self, tmp_path, capsys):
+        # the rename onto a directory fails: exit 1, and the temporary file goes
+        out = tmp_path / "report"
+        out.mkdir()
+        assert main(["tables", "--table", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["report"]
 
     def test_approx_variant_runs(self, tmp_path):
         out = tmp_path / "t2a.csv"
@@ -344,6 +370,31 @@ class TestOracle:
                             (_kernels, "mc_block")):
             monkeypatch.setattr(owner, name, started)
 
+    @pytest.mark.parametrize(
+        "n,message",
+        [("17", "enumeration supports n <= 16, got n=17"),
+         ("100", "n must be an integer in [1, 64], got 100")],
+    )
+    def test_enumeration_cap_message(self, no_oracle_work, capsys, n, message):
+        assert main(["oracle", "--n", n, "--k", "1", "--trials", "1000000000"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_monte_carlo_miss_exits_1(self, capsys, monkeypatch):
+        from espd import oracle
+
+        real = oracle.mc_level
+
+        def biased(*args, **kwargs):
+            de, *rest = real(*args, **kwargs)
+            return (de - 0.01, *rest)
+
+        monkeypatch.setattr(oracle, "mc_level", biased)
+        assert main(["oracle", "--n", "4", "--k", "1",
+                     "--trials", "100000", "--seed", "42"]) == 1
+        out = capsys.readouterr().out
+        assert "enum_within_1e-12=yes" in out
+        assert "mc_within_5_stderr=no" in out
+
     @pytest.mark.parametrize("flag", ["--trials", "--threads"])
     def test_zero_count_rejected(self, no_oracle_work, capsys, flag):
         assert main(["oracle", "--n", "4", "--k", "1", flag, "0"]) == 2
@@ -391,6 +442,11 @@ class TestQkd:
         out, err = capsys.readouterr()
         assert "gamma_" not in out
         assert err.startswith("error: gamma is not finite")
+
+    def test_zero_eta_rejected(self, capsys):
+        assert main(["qkd", "--e-th", "0.11", "--e-c", "0.02",
+                     "--eta", "0", "--dcr", "1e-6"]) == 2
+        assert capsys.readouterr().err == "error: eta must be > 0\n"
 
     def test_approx_only(self, capsys):
         assert main(["qkd", "--e-th", "0.11", "--e-c", "0.02",
@@ -465,6 +521,11 @@ class TestFixedPoints:
             "gain_positive_interval=0.38419999999999999,0.84950000000000003\n"
         )
 
+    def test_no_roots(self, capsys):
+        # a lossy-everything module (p = 0) has no positive fixed point
+        assert main(["fixedpoints", "--p", "0", "--n", "4", "--k", "2"]) == 0
+        assert capsys.readouterr().out == "no roots in (0, 1]\n"
+
     @pytest.mark.parametrize("n", ["65", "70", "10000"])
     def test_n_above_cap_rejected(self, capsys, n):
         assert main(["fixedpoints", "--n", n, "--k", "2", "--grid", "100"]) == 2
@@ -476,7 +537,7 @@ class TestFixedPoints:
 
 
 class TestErrorBoundary:
-    """main() turns ValueError into exit 2 and OSError into exit 1, one line each."""
+    """main() turns ValueError into exit 2, OSError and MemoryError into exit 1, one line each."""
 
     @staticmethod
     def _argv(command, tmp_path, out):
@@ -536,7 +597,7 @@ class TestErrorBoundary:
             ("fixedpoints", "espd.bounds", "find_fixed_points"),
         ],
     )
-    @pytest.mark.parametrize("exc,code", [(ValueError, 2), (OSError, 1)])
+    @pytest.mark.parametrize("exc,code", [(ValueError, 2), (OSError, 1), (MemoryError, 1)])
     def test_library_error_mid_command(
         self, tmp_path, capsys, monkeypatch, command, module, name, exc, code
     ):
@@ -547,4 +608,15 @@ class TestErrorBoundary:
         out = tmp_path / "out.csv"
         assert main(self._argv(command, tmp_path, str(out))) == code
         assert capsys.readouterr().err == "error: injected\n"
+        assert not out.exists()
+
+    def test_bare_memory_error_named(self, tmp_path, capsys, monkeypatch):
+        # Python's own MemoryError carries no message
+        def fail(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("espd.optimize.search_schedules", fail)
+        out = tmp_path / "out.csv"
+        assert main(self._argv("optimize", tmp_path, str(out))) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
         assert not out.exists()

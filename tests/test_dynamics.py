@@ -487,6 +487,11 @@ class TestIterateSchedule:
         with pytest.raises(ValueError, match="at least one level"):
             Schedule(BASELINE, ())
 
+    @pytest.mark.parametrize("bad", [(4, 2), [4, 2], None])
+    def test_non_level_config_level_rejected(self, bad):
+        with pytest.raises(ValueError, match="LevelConfig instances"):
+            Schedule(BASELINE, (LevelConfig(4, 1), bad))
+
     @pytest.mark.parametrize("bad", [0, MAX_LEVELS + 1, True, 2.0, 2.5, "3"])
     def test_level_cap_and_type_enforced(self, bad):
         with pytest.raises(ValueError, match="max_levels"):

@@ -352,3 +352,44 @@ class TestOracleReport:
             oracle_report(
                 DetectorPerformance(0.5, 0.0), BASELINE, LevelConfig(17, 1), 1000, 1
             )
+
+    def test_size_cap_checked_before_any_route(self, monkeypatch):
+        # 10**9 trials would run for minutes: the cap must fail before them
+        def started(*args, **kwargs):
+            raise AssertionError("a route ran before the size cap was checked")
+
+        for owner, name in ((oracle, "enumerate_level"), (oracle, "ThreadPoolExecutor"),
+                            (_kernels, "mc_block")):
+            monkeypatch.setattr(owner, name, started)
+        with pytest.raises(ValueError, match="n <= 16"):
+            oracle_report(
+                DetectorPerformance(0.5, 0.0), BASELINE, LevelConfig(17, 1), 10**9, 0
+            )
+
+    def test_agreeing_routes_pass(self):
+        rep = oracle_report(DetectorPerformance(0.59, 1e-2), BASELINE, LevelConfig(4, 1),
+                            100_000, 42)
+        assert rep.enum_ok is True and rep.mc_ok is True
+
+    def test_zero_count_estimate_passes_on_the_truths_stderr(self):
+        # DCR 1.3e-5 over 1000 trials: no dark count, so the estimate's stderr is
+        # 0 and only the enumerated truth's stderr keeps the band open
+        rep = oracle_report(DetectorPerformance(0.59, 1e-2), BASELINE, LevelConfig(4, 3),
+                            1000, 0)
+        assert (rep.mc_dcr, rep.mc_stderr_dcr) == (0.0, 0.0) and rep.enum_dcr > 0.0
+        assert rep.mc_ok is True
+
+    @pytest.mark.parametrize("route", ["mc_level", "enumerate_level"])
+    def test_biased_route_fails_verdict(self, monkeypatch, route):
+        # 0.01 is 20 stderr of 100k trials at DE 0.974
+        real = getattr(oracle, route)
+
+        def biased(*args, **kwargs):
+            de, *rest = real(*args, **kwargs)
+            return (de - 0.01, *rest)
+
+        monkeypatch.setattr(oracle, route, biased)
+        rep = oracle_report(DetectorPerformance(0.59, 1e-2), BASELINE, LevelConfig(4, 1),
+                            100_000, 42)
+        assert rep.mc_ok is False
+        assert rep.enum_ok is (route == "mc_level")
