@@ -78,17 +78,21 @@ def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     # a new file at mode 0o666 less the umask, as open(path, "w") would make it
     tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        # the OS reason, named by the user's path: the temporary file is gone
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def _err(message: str) -> None:
@@ -248,10 +252,9 @@ def cmd_optimize(args) -> int:
     if args.pareto:
         results = optimize.pareto_front(results)
     out_path = _resolve_out(args.out, "schedules.csv")
-    lines = ["schedule,cost,de,dcr"]
     columns = (results.costs.tolist(), results.eta.tolist(), results.dcr.tolist())
-    for label, cost, eta, dcr in zip(results.labels(), *columns):
-        lines.append(f"{label},{cost},{_fmt(eta)},{_fmt(dcr)}")
+    rows = map("{},{},{:.17g},{:.17g}".format, results.labels(), *columns)
+    lines = ["schedule,cost,de,dcr", *rows]
     _atomic_write(out_path, "\n".join(lines) + "\n")
     if not results:
         print("no feasible schedule")

@@ -132,8 +132,9 @@ class SearchResult(Sequence):
         if isinstance(i, slice):
             return self._take(i)
         length = int(self.lengths[i])
+        indices = int(self.codes[i]).to_bytes(length, "big")
         return RankedSchedule(
-            Schedule(self.params, _decode(int(self.codes[i]), length, self.configs)),
+            Schedule(self.params, tuple(self.configs[ci - 1] for ci in indices)),
             DetectorPerformance(float(self.eta[i]), float(self.dcr[i])),
             int(self.costs[i]),
             length,
@@ -152,9 +153,9 @@ class SearchResult(Sequence):
         The same string as :func:`espd.dynamics.schedule_label` of the row's
         levels, read straight from the code.
         """
-        names = [f"{cfg.n}:{cfg.k}" for cfg in self.configs]
+        names = ["", *(f"{cfg.n}:{cfg.k}" for cfg in self.configs)]  # code bytes are 1-based
         return [
-            run_label([names[ci - 1] for ci in _config_indices(code, length)])
+            run_label([names[ci] for ci in code.to_bytes(length, "big")])
             for code, length in zip(self.codes.tolist(), self.lengths.tolist())
         ]
 
@@ -264,23 +265,14 @@ def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchRe
             break
 
     result = SearchResult(params, configs, *map(np.concatenate, zip(*found)))
-    # Rank by cost, dcr, -eta, length, then encoding: within one length the
-    # code sorts like the encoding, since configs are listed in (n, k) order.
-    order = np.lexsort((result.codes, result.lengths, -result.eta, result.dcr, result.costs))
+    # Rank by cost, dcr, -eta, then the code, which sorts by length, then
+    # encoding: a longer code is larger, its top byte being an index >= 1,
+    # and within one length the code sorts like the encoding, since configs
+    # are listed in (n, k) order.
+    order = np.lexsort((result.codes, -result.eta, result.dcr, result.costs))
     if top is not None:
         order = order[:top]
     return result._take(order)
-
-
-def _config_indices(code: int, length: int) -> list[int]:
-    # the 1-based config-table index of each level of a code, first level first
-    return [(code >> s) & 0xFF for s in range(8 * length - 8, -8, -8)]
-
-
-def _decode(
-    code: int, length: int, level_cfgs: tuple[LevelConfig, ...]
-) -> tuple[LevelConfig, ...]:
-    return tuple(level_cfgs[ci - 1] for ci in _config_indices(code, length))
 
 
 def pareto_front(results: SearchResult) -> SearchResult:

@@ -20,8 +20,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernels
 from .dynamics import ComponentParams, DetectorPerformance, LevelConfig, check_int, level_map
 
@@ -102,22 +100,14 @@ def enumerate_level(
     p = params.p
     p_pos, q_pos, p_sig, q_sig = _scenario_probs(det, params)
 
-    probs = np.empty(n + 1, dtype=np.float64)
     de = 0.0
     weight = 1.0
     for i in range(1, n + 1):
-        probs[:i] = p_pos
-        probs[i:n] = q_pos
-        probs[n] = q_sig
+        probs = [p_pos] * i + [q_pos] * (n - i) + [q_sig]
         de += weight * (1.0 - p) * _kernels.vote_mass(probs, k)
         weight *= p
-    probs[:n] = p_pos
-    probs[n] = p_sig
-    de += weight * _kernels.vote_mass(probs, k)
-
-    probs[:n] = q_pos
-    probs[n] = q_sig
-    dcr = _kernels.vote_mass(probs, k)
+    de += weight * _kernels.vote_mass([p_pos] * n + [p_sig], k)
+    dcr = _kernels.vote_mass([q_pos] * n + [q_sig], k)
     return min(de, 1.0), min(dcr, 1.0)
 
 

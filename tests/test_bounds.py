@@ -20,7 +20,7 @@ from espd import (
     find_fixed_points,
     level_map,
 )
-from espd import binomial
+from espd import binomial, bounds
 from espd.bounds import GRID_MAX
 
 
@@ -230,6 +230,14 @@ class TestFindFixedPoints:
         assert list(report.roots) == sorted(report.roots)
         for a, b in zip(report.roots, report.roots[1:]):
             assert b - a > 1e-9
+
+    def test_step_gain_bisects_to_no_root(self, monkeypatch):
+        # A sign change with no zero: bisection narrows the step until the
+        # interval collapses, and the tolerance filter drops its midpoint.
+        monkeypatch.setattr(bounds, "de_gain", lambda x, *_: -1.0 if x < 0.3 else 1.0)
+        report = find_fixed_points(0.9, 0.9, 4, 2)
+        assert report.roots == ()
+        assert report.gain_positive_interval == (0.3, 1.0)
 
     def test_grid_validated(self):
         with pytest.raises(ValueError, match="grid"):

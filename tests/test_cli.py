@@ -180,7 +180,10 @@ class TestTables:
         out = tmp_path / "report"
         out.mkdir()
         assert main(["tables", "--table", "2", "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        # the error names the directory, not the removed temporary file
+        assert repr(str(out)) in err and ".tmp" not in err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["report"]
 
     def test_approx_variant_runs(self, tmp_path):

@@ -345,6 +345,11 @@ def _dominates(a, b):
     )
 
 
+def _shift_decode(code, length):
+    # a code's 1-based config indices, first level first, shifted out one byte at a time
+    return tuple((code >> s) & 0xFF for s in range(8 * length - 8, -8, -8))
+
+
 class TestSearchResult:
     # Every schedule of up to 4 levels over the 6 configs with n <= 3, so
     # the listing holds every run shape, x2 to x4 runs included.
@@ -367,6 +372,31 @@ class TestSearchResult:
         assert list(result[5:9]) == rows[5:9]
         with pytest.raises(IndexError):
             result[len(result)]
+
+    def test_six_level_codes_decode_at_full_width(self):
+        # Every schedule of up to 6 levels over the 3 configs with n <= 2, so
+        # 5- and 6-byte codes are ranked and decoded.
+        query = OptimizationQuery(SEED, BASELINE, 0.0, 1.0, max_levels=6, n_max=2)
+        result = search_schedules(query, top=None)
+        assert len(result) == sum(3**m for m in range(1, 7))
+        lengths = result.lengths.tolist()
+        encodings = [_shift_decode(*row) for row in zip(result.codes.tolist(), lengths)]
+        assert max(lengths) == 6
+        keys = list(zip(
+            result.costs.tolist(), result.dcr.tolist(), (-result.eta).tolist(),
+            lengths, encodings,
+        ))
+        assert keys == sorted(keys)
+        levels = [tuple(CONFIGS[ci - 1] for ci in enc) for enc in encodings]
+        assert result.labels() == [schedule_label(cfgs) for cfgs in levels]
+        assert [r.schedule.levels for r in result] == levels
+
+        front = pareto_front(result)
+        keys = list(zip(
+            front.costs.tolist(), (-front.eta).tolist(), front.dcr.tolist(),
+            map(_shift_decode, front.codes.tolist(), front.lengths.tolist()),
+        ))
+        assert len(keys) > 1 and keys == sorted(keys)
 
     def test_front_of_listing_matches_brute_force_definition(self):
         rows = list(search_schedules(self.LISTING, top=None))

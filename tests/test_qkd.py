@@ -113,6 +113,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="eta"):
             gamma_exact(SCN, DetectorPerformance(0.0, 1e-6))
 
+    def test_zero_efficiency_rejected_by_approx(self):
+        with pytest.raises(ValueError, match="gamma requires eta > 0"):
+            gamma_approx(SCN, DetectorPerformance(0.0, 1e-6))
+
     def test_nonpositive_denominator_rejected(self):
         scn = QkdScenario(e_th=0.11, e_c=0.02, e=1.0)
         with pytest.raises(ValueError, match="denominator"):
