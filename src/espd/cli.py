@@ -74,7 +74,8 @@ def _resolve_out(arg: str | None, default_name: str) -> Path:
     return Path(arg)
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, lines: list[str]) -> None:
+    """Write ``lines`` (header first) as the CSV file ``path``, each LF-terminated."""
     path.parent.mkdir(parents=True, exist_ok=True)
     # a new file at mode 0o666 less the umask, as open(path, "w") would make it
     tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
@@ -82,7 +83,7 @@ def _atomic_write(path: Path, text: str) -> None:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
+                handle.write("\n".join(lines) + "\n")
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -190,7 +191,7 @@ def cmd_iterate(args) -> int:
         n = str(pt.config.n) if pt.config else ""
         k = str(pt.config.k) if pt.config else ""
         lines.append(f"{pt.level},{n},{k},{_fmt(pt.perf.eta)},{_fmt(pt.perf.dcr)}")
-    _atomic_write(out_path, "\n".join(lines) + "\n")
+    _atomic_write(out_path, lines)
     print(f"wrote {out_path} ({len(traj.points)} levels)")
     return 0
 
@@ -214,7 +215,7 @@ def cmd_tables(args) -> int:
             f"{_fmt(c.dcr_expected)},{_fmt(c.dcr_computed)},"
             f"{c.dcr_computed:.1e},{_fmt(c.dcr_rel_err)},{int(c.dcr_ok)}"
         )
-    _atomic_write(out_path, "\n".join(lines) + "\n")
+    _atomic_write(out_path, lines)
 
     for c in report.cells:
         if not (c.de_ok and c.dcr_ok):
@@ -254,8 +255,7 @@ def cmd_optimize(args) -> int:
     out_path = _resolve_out(args.out, "schedules.csv")
     columns = (results.costs.tolist(), results.eta.tolist(), results.dcr.tolist())
     rows = map("{},{},{:.17g},{:.17g}".format, results.labels(), *columns)
-    lines = ["schedule,cost,de,dcr", *rows]
-    _atomic_write(out_path, "\n".join(lines) + "\n")
+    _atomic_write(out_path, ["schedule,cost,de,dcr", *rows])
     if not results:
         print("no feasible schedule")
     print(f"wrote {out_path} ({len(results)} schedules)")
@@ -324,7 +324,7 @@ def cmd_figdata(args) -> int:
         for level, label, value in rows:
             lines.append(f"{level},{label},{_fmt(value)}")
         path = out_dir / f"{stem}.csv"
-        _atomic_write(path, "\n".join(lines) + "\n")
+        _atomic_write(path, lines)
         written.append(path)
     for path in written:
         print(f"wrote {path}")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import binomial
@@ -170,6 +171,10 @@ class Schedule:
     levels: tuple[LevelConfig, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.params, ComponentParams):
+            raise ValueError(f"params must be a ComponentParams, got {self.params!r}")
+        if not isinstance(self.levels, Iterable):
+            raise ValueError(f"levels must be an iterable of LevelConfig, got {self.levels!r}")
         object.__setattr__(self, "levels", tuple(self.levels))
         if len(self.levels) == 0:
             raise ValueError("schedule must contain at least one level")

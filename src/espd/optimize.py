@@ -31,8 +31,10 @@ final performance recorded for every returned schedule is bit-identical to
 re-evaluating it with :func:`espd.dynamics.iterate_schedule`.
 
 Results are the search's own columns (a :class:`SearchResult`, which
-:func:`pareto_front` also takes and returns); a :class:`RankedSchedule`
-row is built only when a caller indexes or iterates one.
+:func:`pareto_front` also takes and returns): each row's code, cost, eta
+and dcr, the order in which the search also moves its parents, children
+and frontier.  A row's level count is its code's byte count.  A row's
+:class:`RankedSchedule` is built only when a caller indexes or iterates it.
 """
 
 from __future__ import annotations
@@ -90,6 +92,10 @@ class OptimizationQuery:
     n_max: int = 8
 
     def __post_init__(self) -> None:
+        if not isinstance(self.init, DetectorPerformance):
+            raise ValueError(f"init must be a DetectorPerformance, got {self.init!r}")
+        if not isinstance(self.params, ComponentParams):
+            raise ValueError(f"params must be a ComponentParams, got {self.params!r}")
         check_int("max_levels", self.max_levels, 1, MAX_SEARCH_LEVELS)
         check_int("n_max", self.n_max, 1, MAX_SEARCH_N)
         for name in ("de_target", "dcr_target"):
@@ -110,17 +116,16 @@ class RankedSchedule:
 class SearchResult(Sequence):
     """Ranked schedules as columns, read as a sequence of :class:`RankedSchedule`.
 
-    Row i has ``lengths[i]`` levels, named by the bytes of ``codes[i]``
-    from the most significant down (byte c is ``configs[c - 1]``), total
-    cost ``costs[i]`` and final point ``(eta[i], dcr[i])``.  Indexing or
-    iterating builds each row's :class:`RankedSchedule` on access; a slice
-    is another ``SearchResult``.
+    Row i is ``(codes[i], costs[i], eta[i], dcr[i])``: its levels, named by
+    the bytes of ``codes[i]`` from the most significant down (byte c is
+    ``configs[c - 1]``, so c >= 1 and the level count is the byte count),
+    its total cost and its final point.  Indexing or iterating builds each
+    row's :class:`RankedSchedule` on access; a slice is another ``SearchResult``.
     """
 
     params: ComponentParams
     configs: tuple[LevelConfig, ...]
     codes: np.ndarray  # uint64
-    lengths: np.ndarray  # int64
     costs: np.ndarray  # int64
     eta: np.ndarray  # float64
     dcr: np.ndarray  # float64
@@ -131,20 +136,19 @@ class SearchResult(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return self._take(i)
-        length = int(self.lengths[i])
-        indices = int(self.codes[i]).to_bytes(length, "big")
+        indices = _code_bytes(int(self.codes[i]))
         return RankedSchedule(
             Schedule(self.params, tuple(self.configs[ci - 1] for ci in indices)),
             DetectorPerformance(float(self.eta[i]), float(self.dcr[i])),
             int(self.costs[i]),
-            length,
+            len(indices),
         )
 
     def _take(self, rows) -> SearchResult:
         # the rows an index array or slice selects, in its order
         return SearchResult(
-            self.params, self.configs, self.codes[rows], self.lengths[rows],
-            self.costs[rows], self.eta[rows], self.dcr[rows],
+            self.params, self.configs, self.codes[rows], self.costs[rows],
+            self.eta[rows], self.dcr[rows],
         )
 
     def labels(self) -> list[str]:
@@ -154,10 +158,12 @@ class SearchResult(Sequence):
         levels, read straight from the code.
         """
         names = ["", *(f"{cfg.n}:{cfg.k}" for cfg in self.configs)]  # code bytes are 1-based
-        return [
-            run_label([names[ci] for ci in code.to_bytes(length, "big")])
-            for code, length in zip(self.codes.tolist(), self.lengths.tolist())
-        ]
+        return [run_label([names[ci] for ci in _code_bytes(c)]) for c in self.codes.tolist()]
+
+
+def _code_bytes(code: int) -> bytes:
+    # a code's levels' 1-based config indices, first level first
+    return code.to_bytes((code.bit_length() + 7) // 8, "big")
 
 
 def resource_cost(schedule: Schedule) -> int:
@@ -205,64 +211,59 @@ def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchRe
         LevelConfig(n, k) for n in range(1, query.n_max + 1) for k in range(1, n + 1)
     )
 
-    etas = np.array([query.init.eta], dtype=np.float64)
-    ds = np.array([query.init.dcr], dtype=np.float64)
-    codes = np.zeros(1, dtype=np.uint64)
-    costs = np.ones(1, dtype=np.int64)
-
-    # feasible (codes, lengths, costs, eta, dcr) columns, one tuple per config per level
-    found: list[tuple[np.ndarray, ...]] = []
+    # every row set is (codes, costs, eta, dcr), SearchResult's column order
+    rows = (
+        np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.int64),
+        np.array([query.init.eta], dtype=np.float64),
+        np.array([query.init.dcr], dtype=np.float64),
+    )
+    found: list[tuple[np.ndarray, ...]] = []  # feasible rows, one set per config per level
     # the least `top` feasible costs found so far (all of them while fewer);
     # once there are `top`, the greatest is the cost gate's threshold
     ranked = np.zeros(0, dtype=np.int64)
     threshold = None
 
-    for level in range(1, query.max_levels + 1):
-        remaining = query.max_levels - level
+    for remaining in reversed(range(query.max_levels)):  # levels still to come
         if top is not None:
             # cheapest parents first, so the gate passes a prefix
-            order = np.argsort(costs, kind="stable")
-            etas, ds, codes, costs = etas[order], ds[order], codes[order], costs[order]
-        # the (eta, dcr, codes, costs) rows each config passes to the next level
-        frontier: list[tuple[np.ndarray, ...]] = []
-        shifted = codes << np.uint64(8)
+            order = np.argsort(rows[1], kind="stable")
+            rows = tuple(col[order] for col in rows)
+        frontier: list[tuple[np.ndarray, ...]] = []  # the rows each config passes on
         config = 0  # a config's code is its 1-based index in configs
         for n in range(1, query.n_max + 1):
-            e, d, sh, c = etas, ds, shifted, costs
+            parents = rows
             if threshold is not None:
                 # the gate: a child dearer than the threshold ranks after `top` rows found
-                rows = int(np.searchsorted(costs, threshold // (n + 1), side="right"))
-                if rows == 0:
+                cut = int(np.searchsorted(rows[1], threshold // (n + 1), side="right"))
+                if cut == 0:
                     break  # the cut only falls as n grows
-                if rows < len(costs):
-                    e, d, sh, c = e[:rows], d[:rows], sh[:rows], c[:rows]
+                # a full pass keeps the same arrays: perfbench/tracer.py counts
+                # one frontier per eta array object
+                if cut < len(rows[1]):
+                    parents = tuple(col[:cut] for col in rows)
+            codes, costs, eta, dcr = parents
             # every threshold of one n in one kernel call, in (n, k) order
             figures = _kernels.level_map_batch(
-                e, d, params.p, params.P_act, params.Q_err, n, range(1, n + 1)
+                eta, dcr, params.p, params.P_act, params.Q_err, n, range(1, n + 1)
             )
-            cost2 = c * (n + 1)
+            shifted, cost2 = codes << np.uint64(8), costs * (n + 1)
             for e2, d2 in figures:
                 config += 1
-                code2 = sh | np.uint64(config)
+                children = (shifted | np.uint64(config), cost2, e2, d2)
                 feas = (e2 >= query.de_target) & (d2 <= query.dcr_target)
-                found.append((
-                    code2[feas], np.full(np.count_nonzero(feas), level, dtype=np.int64),
-                    cost2[feas], e2[feas], d2[feas],
-                ))
+                found.append(tuple(col[feas] for col in children))
                 if remaining:
                     keep = _dcr_floor(d2, query.n_max, remaining) <= query.dcr_target
-                    frontier.append((e2[keep], d2[keep], code2[keep], cost2[keep]))
+                    frontier.append(tuple(col[keep] for col in children))
             if top is not None:
-                ranked = np.concatenate([ranked, *(f[2] for f in found[-n:])])
+                ranked = np.concatenate([ranked, *(f[1] for f in found[-n:])])
                 if len(ranked) >= top:
                     ranked = np.partition(ranked, top - 1)[:top]
                     threshold = int(ranked[-1])
 
-        if not remaining or not frontier:
-            break
-        etas, ds, codes, costs = map(np.concatenate, zip(*frontier))
-        if etas.shape[0] == 0:
-            break
+        if not remaining or not any(len(f[0]) for f in frontier):
+            break  # no level follows, or no row passes on to it
+        rows = tuple(map(np.concatenate, zip(*frontier)))
 
     result = SearchResult(params, configs, *map(np.concatenate, zip(*found)))
     # Rank by cost, dcr, -eta, then the code, which sorts by length, then
@@ -293,8 +294,11 @@ def pareto_front(results: SearchResult) -> SearchResult:
     eta >= e, and the cost of the first row kept with exactly that pair.
     """
     # Left-aligned, the codes compare like the encodings as tuples: config
-    # indices start at 1, so a schedule sorts before its extensions.
-    shift = (8 * (MAX_SEARCH_LEVELS - results.lengths)).astype(np.uint64)
+    # indices start at 1, so a schedule sorts before its extensions.  A
+    # code's level count is its byte count, the byte shifts that leave it nonzero.
+    shifts = np.arange(0, 8 * MAX_SEARCH_LEVELS, 8, dtype=np.uint64)
+    levels = np.count_nonzero(results.codes[:, None] >> shifts, axis=1)
+    shift = (8 * (MAX_SEARCH_LEVELS - levels)).astype(np.uint64)
     order = np.lexsort((results.codes << shift, results.dcr, -results.eta, results.costs))
     rows: list[int] = []
     etas: list[float] = []

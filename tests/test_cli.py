@@ -246,8 +246,10 @@ class TestOptimize:
 
     # SHA-256 of each query's CSV: a change to any value, row or order of the
     # ranking changes it (criterion 10 holds the search output byte-stable).
-    # The last two are the full listing at --max-levels 4 --n-max 8 (37,546
-    # rows) and its Pareto front (896 rows).
+    # The third and fourth are the full listing at --max-levels 4 --n-max 8
+    # (37,546 rows) and its Pareto front (896 rows).  The last is the 50
+    # cheapest at --n-max 12, where the cost gate passes parent prefixes
+    # (the later --top overrides --top 0).
     @pytest.mark.parametrize(
         "extra,digest",
         [
@@ -259,6 +261,8 @@ class TestOptimize:
              "8e9efee8c845b0b5f013e998aef945643f993efc2e678c6abcca9dd895c8c43a"),
             (["--max-levels", "4", "--n-max", "8", "--pareto"],
              "40c9fe1e629962c460b13024f571caacb102cd6309b32855a34d0600a4489929"),
+            (["--max-levels", "4", "--n-max", "12", "--top", "50"],
+             "1575284a91cafd1379d865951cba524df1ca45614841c990085e3275fbd48733"),
         ],
     )
     def test_search_csv_bytes_pinned(self, tmp_path, extra, digest):

@@ -492,6 +492,19 @@ class TestIterateSchedule:
         with pytest.raises(ValueError, match="LevelConfig instances"):
             Schedule(BASELINE, (LevelConfig(4, 1), bad))
 
+    @pytest.mark.parametrize(
+        "params,levels,field",
+        [
+            (None, (LevelConfig(1, 1),), "params"),
+            ((0.98, 0.97, 0.002), (LevelConfig(1, 1),), "params"),
+            (BASELINE, 5, "levels"),
+            (BASELINE, None, "levels"),
+        ],
+    )
+    def test_wrong_typed_fields_rejected(self, params, levels, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            Schedule(params, levels)
+
     @pytest.mark.parametrize("bad", [0, MAX_LEVELS + 1, True, 2.0, 2.5, "3"])
     def test_level_cap_and_type_enforced(self, bad):
         with pytest.raises(ValueError, match="max_levels"):

@@ -171,6 +171,20 @@ class TestSearchSchedules:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             OptimizationQuery(SEED, BASELINE, 0.9, 1e-6, **{field: bad})
 
+    @pytest.mark.parametrize(
+        "init,params,field",
+        [
+            (None, BASELINE, "init"),
+            ((0.59, 1e-2), BASELINE, "init"),
+            (BASELINE, SEED, "init"),  # the two swapped
+            (SEED, None, "params"),
+            (SEED, (0.98, 0.97, 0.002), "params"),
+        ],
+    )
+    def test_model_objects_must_have_their_types(self, init, params, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a"):
+            OptimizationQuery(init, params, 0.9, 1e-6)
+
     @pytest.mark.parametrize("bad", [True, 2.5, "3", 0, -1])
     def test_top_must_be_positive_integer_or_none(self, bad):
         query = OptimizationQuery(SEED, BASELINE, 0.9, 1e-6, max_levels=1, n_max=2)
@@ -225,7 +239,7 @@ class TestCostPrune:
         full = search_schedules(query, top=None)
         got = search_schedules(query, top=top)
         assert got.configs == full.configs
-        for column in ("codes", "lengths", "costs", "eta", "dcr"):
+        for column in ("codes", "costs", "eta", "dcr"):
             assert np.array_equal(getattr(got, column), getattr(full, column)[:top]), column
 
     @pytest.mark.parametrize("targets", [(0.9, 1e-4), (0.93, 1e-9)])
@@ -237,7 +251,7 @@ class TestCostPrune:
         query = OptimizationQuery(seed, BASELINE, *targets, max_levels=3, n_max=12)
         full = _full_listing(query)
         got = search_schedules(query, top=top)
-        for column in ("codes", "lengths", "costs", "eta", "dcr"):
+        for column in ("codes", "costs", "eta", "dcr"):
             assert np.array_equal(getattr(got, column), getattr(full, column)[:top]), column
 
     def test_gate_updates_within_a_level(self, monkeypatch):
@@ -329,7 +343,6 @@ def _pool(rows):
         BASELINE,
         CONFIGS,
         np.array(codes, dtype=np.uint64),
-        np.array([len(cfgs) for cfgs, _, _ in rows], dtype=np.int64),
         np.array([math.prod(n + 1 for n, _ in cfgs) for cfgs, _, _ in rows], dtype=np.int64),
         np.array([eta for _, eta, _ in rows], dtype=np.float64),
         np.array([dcr for _, _, dcr in rows], dtype=np.float64),
@@ -367,7 +380,7 @@ class TestSearchResult:
         rows = list(result)
         assert [r.cost for r in rows] == result.costs.tolist()
         assert [r.final.eta for r in rows] == result.eta.tolist()
-        assert [r.levels_used for r in rows] == result.lengths.tolist()
+        assert [r.levels_used for r in rows] == [len(r.schedule.levels) for r in rows]
         assert result[-1] == rows[-1]
         assert list(result[5:9]) == rows[5:9]
         with pytest.raises(IndexError):
@@ -379,7 +392,7 @@ class TestSearchResult:
         query = OptimizationQuery(SEED, BASELINE, 0.0, 1.0, max_levels=6, n_max=2)
         result = search_schedules(query, top=None)
         assert len(result) == sum(3**m for m in range(1, 7))
-        lengths = result.lengths.tolist()
+        lengths = [r.levels_used for r in result]
         encodings = [_shift_decode(*row) for row in zip(result.codes.tolist(), lengths)]
         assert max(lengths) == 6
         keys = list(zip(
@@ -394,7 +407,7 @@ class TestSearchResult:
         front = pareto_front(result)
         keys = list(zip(
             front.costs.tolist(), (-front.eta).tolist(), front.dcr.tolist(),
-            map(_shift_decode, front.codes.tolist(), front.lengths.tolist()),
+            map(_shift_decode, front.codes.tolist(), [r.levels_used for r in front]),
         ))
         assert len(keys) > 1 and keys == sorted(keys)
 
@@ -419,6 +432,12 @@ class TestParetoFront:
     def test_ties_on_all_axes_both_kept(self):
         pool = _pool([([(4, 1)], 0.9, 1e-3), ([(4, 2)], 0.9, 1e-3)])  # same cost 5
         assert len(pareto_front(pool)) == 2
+
+    def test_equal_rows_of_two_lengths_sort_by_encoding(self):
+        # Both rows cost 4 and tie on eta and dcr, so the encoding decides:
+        # config indices (1, 1) sort before (4,), though code 0x0101 > 0x04.
+        pool = _pool([([(3, 1)], 0.9, 1e-3), ([(1, 1), (1, 1)], 0.9, 1e-3)])
+        assert pareto_front(pool).labels() == ["1:1x2", "3:1"]
 
     def test_front_never_contains_dominated_pair(self):
         rng = np.random.default_rng(37)

@@ -11,6 +11,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from espd import ComponentParams, DetectorPerformance, OptimizationQuery
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -56,6 +58,41 @@ def test_search_metrics_count_one_kernel_call_per_n():
     assert all(f > 0 for f in frontiers)  # every level is expanded
     assert m["kernels.level_map_batch.calls"] == n_max * max_levels
     assert m["optimize.states_expanded"] == n_max * sum(frontiers)
+
+
+# The benchmark's two search queries (variant 0), as (n_max, top), and the
+# per-layer counts its tracer reads for them.  search-top's frontiers are
+# left out: the gate hands the kernel calls of one level different parent
+# prefixes, which the tracer counts as different frontiers.
+@pytest.mark.parametrize(
+    "n_max,top,expected",
+    [
+        (8, None, {
+            "optimize.frontier_L1": 1, "optimize.frontier_L2": 36,
+            "optimize.frontier_L3": 1_295, "optimize.frontier_L4": 44_008,
+            "kernels.level_map_batch.calls": 32, "kernels.level_map_batch.states": 362_720,
+        }),
+        (12, 50, {
+            "kernels.level_map_batch.calls": 48, "kernels.level_map_batch.states": 37_304,
+        }),
+    ],
+    ids=["search-all", "search-top"],
+)
+def test_benchmark_search_layer_counts(n_max, top, expected):
+    tracer_mod = _load_tracer()
+    optimize = importlib.import_module("espd.optimize")
+    query = OptimizationQuery(
+        DetectorPerformance(0.59, 1e-2), ComponentParams(0.98, 0.97, 0.002),
+        0.93, 1e-9, max_levels=4, n_max=n_max,
+    )
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        optimize.search_schedules(query, top=top)
+    finally:
+        tracer.uninstall()
+    m = tracer_mod.layer_metrics(tracer.dump(), query.max_levels)
+    assert {name: m[name] for name in expected} == expected
 
 
 def test_cli_search_is_traced_under_its_name(tmp_path):
