@@ -11,7 +11,9 @@ Three kernels carry the bulk work:
   vectors for the k-of-m vote (verification oracle), their probabilities
   built as a product tree;
 * ``mc_block``        -- one block of Monte Carlo trials on a counter-based
-  splitmix64 stream.
+  splitmix64 stream: ``n + 2`` draws per trial, one for the loss position
+  and one per detector, the detector draws shared by the signal and the
+  vacuum trial.
 
 The Monte Carlo stream is counter-indexed (draw ``i`` of a block is a pure
 function of the block seed and ``i``), so tallies are bit-identical across
@@ -49,7 +51,9 @@ _MIX2_64 = _U64(_MIX2)
 _TWO53 = 2.0**53
 
 # Draws per chunk of mc_block: its uint64 buffers of this size (512 KiB
-# each) stay in cache, where a whole block of (3n + 2)-draw trials would not.
+# each) stay in cache, where a whole block of (n + 2)-draw trials would not.
+# At 2 threads on n = 12 blocks no size from 2**15 to 2**18 was clearly
+# faster than 2**16, so 2**16 stays.
 MC_CHUNK_DRAWS = 1 << 16
 
 
@@ -123,28 +127,41 @@ def mc_block(
 ) -> tuple[int, int]:
     """One Monte Carlo block: (positives on signal trials, on vacuum trials).
 
-    Each trial owns 3n + 2 counter-indexed draws: n module-survival draws,
-    n + 1 detector draws for the signal trial, n + 1 for the vacuum trial.
-    Unused draws (after an early loss) still occupy their slots, so draw
-    ``i`` of trial ``t`` sits at counter ``t * (3n + 2) + i``.
+    Each trial owns n + 2 counter-indexed draws; draw ``i`` of trial ``t``
+    sits at counter ``t * (n + 2) + i``.  Draw 0 is the loss position
+    ``u``: the photon reaches auxiliary ``j`` (0-based) iff ``u < p**j``,
+    and reaching ``j = n`` means it survived every module.  Draws 1..n are
+    the auxiliaries and draw n + 1 the signal detector.  On the signal
+    trial a detector compares its draw against its firing probability
+    given the photon (``p_pos`` or ``p_sig``) if reached, else against the
+    dark one (``q_pos`` or ``q_sig``); the vacuum trial compares the same
+    n + 1 draws against the dark ones.  Each tally thus still draws every
+    detector with its own probability; only the two tallies are correlated.
 
-    The trials run in chunks of ``MC_CHUNK_DRAWS // (3n + 2)`` trials; the
+    The trials run in chunks of ``MC_CHUNK_DRAWS // (n + 2)`` trials; the
     splitmix64 steps of a chunk run in place in two preallocated uint64
     buffers, so memory stays flat in ``ntrials`` and ``n``.  A chunk holds
     its draws column-major: draw ``i`` of the chunk's trial ``t`` sits at
-    ``z[i, t]``, so a trial's loss mask, auxiliary thresholds and firing
-    counts are reductions along axis 0 over all of the chunk's trials at
-    once.  A draw is the 53-bit integer ``m = z >> 11``, compared against
-    ``threshold53(x)`` instead of ``m * 2**-53`` against ``x``, which is
-    the same test exactly.  None of these steps moves a draw or changes a
-    comparison, so the tallies are those of converting the whole block to
-    floats at once.
+    ``z[i, t]``, so a trial's reach mask and firing counts are reductions
+    along axis 0 over all of the chunk's trials at once.  A draw is the
+    53-bit integer ``m = z >> 11``, compared against ``threshold53(x)``
+    instead of ``m * 2**-53`` against ``x``, which is the same test
+    exactly; ``p**0 = 1`` gives threshold ``2**53``, which every draw is
+    below.  None of these steps moves a draw or changes a comparison, so
+    the tallies are those of converting the whole block to floats at once.
     """
-    per = 3 * n + 2
+    per = n + 2
     chunk = MC_CHUNK_DRAWS // per  # trials
-    t_p, t_pos, t_qpos, t_psig, t_qsig = (
-        _U64(threshold53(x)) for x in (p, p_pos, q_pos, p_sig, q_sig)
-    )
+
+    def column(xs):
+        return np.array([threshold53(x) for x in xs], dtype=np.uint64)[:, None]
+
+    powers = [1.0]  # p**j by repeated multiplication, j = 0..n
+    for _ in range(n):
+        powers.append(powers[-1] * p)
+    reach_t = column(powers)
+    hit_t = column([p_pos] * n + [p_sig])
+    dark_t = column([q_pos] * n + [q_sig])
     # counter (t0 + t) * per + i of a chunk adds (i + t * per) * golden to
     # state0 + (t0 * per + 1) * golden (mod 2**64)
     draw_steps = np.arange(per, dtype=np.uint64)[:, None] * _GOLDEN64
@@ -165,18 +182,13 @@ def mc_block(
         np.bitwise_xor(zc, tc, out=zc)
         np.right_shift(zc, _U64(11), out=zc)
 
-        # alive[j]: the photon passed modules 0..j; auxiliary j sees it
-        # while modules 0..j-1 passed
-        alive = np.logical_and.accumulate(zc[:n] < t_p, axis=0)
-        aux = zc[n : 2 * n]
-        fires = (aux[0] < t_pos).astype(np.uint8)
-        fires += np.where(alive[:-1], aux[1:] < t_pos, aux[1:] < t_qpos).sum(
-            axis=0, dtype=np.uint8
-        )
-        fires += np.where(alive[-1], zc[2 * n] < t_psig, zc[2 * n] < t_qsig)
-        de_count += int(np.count_nonzero(fires >= k))
-
-        vac_fires = (zc[2 * n + 1 : 3 * n + 1] < t_qpos).sum(axis=0, dtype=np.uint8)
-        vac_fires += zc[3 * n + 1] < t_qsig
-        dcr_count += int(np.count_nonzero(vac_fires >= k))
+        det = zc[1:]
+        dark = det < dark_t
+        # signal firings: the hit comparison where reached, else the dark one
+        fires = det < hit_t
+        fires ^= dark
+        fires &= zc[0] < reach_t
+        fires ^= dark
+        de_count += int(np.count_nonzero(fires.sum(axis=0, dtype=np.uint8) >= k))
+        dcr_count += int(np.count_nonzero(dark.sum(axis=0, dtype=np.uint8) >= k))
     return de_count, dcr_count

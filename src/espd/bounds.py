@@ -62,6 +62,11 @@ def decision_poly(a: float, n: int, k: int, x: float) -> float:
     check_int("n", n, 1, N_MAX)
     check_int("k", k, 1, n)
     check_prob("x", x)
+    return _decision_poly(a, n, k, x)
+
+
+def _decision_poly(a: float, n: int, k: int, x: float) -> float:
+    """:func:`decision_poly` without its input checks."""
     return a * binomial.pmf(n, x, k - 1) + binomial.tail(n, x, k)
 
 
@@ -140,9 +145,15 @@ def find_fixed_points(
     An empty root tuple is a valid outcome.
     """
     check_int("grid", grid, 100, GRID_MAX)
+    # de_gain's checks, in its order, once; the scan's x are all in (0, 1]
+    check_prob("p", p)
+    check_prob("P", P)
+    check_int("n", n, 1, N_MAX)
+    check_int("k", k, 1, n)
+    pn = p**n
 
-    def gain(x: float) -> float:
-        return de_gain(x, p, P, n, k)
+    def gain(x: float) -> float:  # de_gain's arithmetic, in its order
+        return _decision_poly(x, n, k, P * x) * pn - x
 
     xs = [i / grid for i in range(1, grid + 1)]
     gs = [gain(x) for x in xs]

@@ -8,7 +8,9 @@ bypassing the closed-form tail algebra:
   least ``k`` positives;
 * :func:`mc_level` -- stochastic: sample loss positions and detector
   outcomes on a counter-based splitmix64 stream, reproducible for a fixed
-  ``(seed, trials)`` regardless of block scheduling or thread count.
+  ``(seed, trials)`` regardless of block scheduling or thread count.  The
+  signal and vacuum trials read the same detector draws, so the DE and DCR
+  estimates are correlated; each is still checked against its own band.
 
 Both compute the per-detector probabilities from scratch so the only shared
 ingredient with the closed form is the model definition itself.
@@ -120,6 +122,11 @@ def mc_level(
     threads: int = 1,
 ) -> tuple[float, float, float, float]:
     """Monte Carlo (de_hat, dcr_hat, stderr_de, stderr_dcr).
+
+    A trial draws its loss position and one outcome per detector; the
+    vacuum trial reads the same detector draws as the signal trial, so the
+    two estimates are correlated, though each alone is a plain binomial
+    estimate (see :func:`espd._kernels.mc_block`).
 
     Trials are partitioned into fixed-size blocks; block b draws from the
     substream seeded by ``mix64(seed XOR b)``.  Each of

@@ -1,6 +1,7 @@
 """Decision-polynomial, bound, and fixed-point tests."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -234,10 +235,34 @@ class TestFindFixedPoints:
     def test_step_gain_bisects_to_no_root(self, monkeypatch):
         # A sign change with no zero: bisection narrows the step until the
         # interval collapses, and the tolerance filter drops its midpoint.
-        monkeypatch.setattr(bounds, "de_gain", lambda x, *_: -1.0 if x < 0.3 else 1.0)
-        report = find_fixed_points(0.9, 0.9, 4, 2)
+        # with p = 1 the scan's gain is the patched polynomial minus x
+        monkeypatch.setattr(
+            bounds, "_decision_poly", lambda a, *_: a - 1.0 if a < 0.3 else a + 1.0
+        )
+        report = find_fixed_points(1.0, 0.9, 4, 2)
         assert report.roots == ()
         assert report.gain_positive_interval == (0.3, 1.0)
+
+    @pytest.mark.parametrize(
+        "p, P, n, k", [(0.98, 0.97, 4, 2), (0.98, 0.97, 8, 4), (1, 0.5, 12, 3)]
+    )
+    def test_report_is_that_of_de_gain_on_the_grid(self, p, P, n, k):
+        report = find_fixed_points(p, P, n, k, grid=2000)
+        pos = [x for x in (i / 2000 for i in range(1, 2001)) if de_gain(x, p, P, n, k) > 0]
+        assert report.gain_positive_interval == ((pos[0], pos[-1]) if pos else None)
+        for r in report.roots:
+            assert abs(de_gain(r, p, P, n, k)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "p, P, n, k",
+        [(1.5, 2.0, 0, 0), ("0.9", 0.9, 4, 2), (0.9, -0.1, 0, 2), (0.9, 0.9, True, 2),
+         (0.9, 0.9, 65, 2), (0.9, 0.9, 4, 5), (0.9, 0.9, 4, 2.0)],
+    )
+    def test_inputs_checked_as_de_gain_checks_them(self, p, P, n, k):
+        with pytest.raises(ValueError) as expected:
+            de_gain(0.5, p, P, n, k)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            find_fixed_points(p, P, n, k)
 
     def test_grid_validated(self):
         with pytest.raises(ValueError, match="grid"):

@@ -195,35 +195,33 @@ class TestMonteCarlo:
 
 # (seed, ntrials, n, k, p, p_pos, q_pos, p_sig, q_sig) -> tallies recorded
 # from the kernel that mixed and converted a whole block to floats at once
-# (float_block below, which would take 400 MB on the n = 64 blocks)
+# (float_block below, which would take 140 MB on the n = 64 block)
 PINNED_BLOCKS = [
     ((1, 1, 1, 1, 0.5, 0.3, 0.1, 0.7, 0.2), (0, 0)),
     ((2, 1, 64, 20, 0.99, 0.4, 0.2, 0.9, 0.05), (1, 0)),
-    ((3, 10007, 12, 2, 0.98, 0.5765769999999999, 0.0111682, 0.5941, 0.01), (9570, 109)),
-    ((4, 65536, 12, 6, 1.0, GRID, 1e-30, 1.0, 0.0), (31980, 0)),
-    ((5, 65536, 64, 30, 0.995, 0.6, GRID, 0.95, 1e-30), (57952, 5129)),
-    ((6, 65536, 1, 1, 0.0, 0.8, 0.3, 1.0, GRID), (57353, 36834)),
-    ((7, 1000, 64, 3, 0.97, 1e-30, 0.02, 0.0, 1.0), (166, 388)),
+    ((3, 10007, 12, 2, 0.98, 0.5765769999999999, 0.0111682, 0.5941, 0.01), (9525, 92)),
+    ((4, 65536, 12, 6, 1.0, GRID, 1e-30, 1.0, 0.0), (31845, 0)),
+    ((5, 65536, 64, 30, 0.995, 0.6, GRID, 0.95, 1e-30), (57930, 5244)),
+    ((6, 65536, 1, 1, 0.0, 0.8, 0.3, 1.0, GRID), (57423, 36945)),
+    ((7, 1000, 64, 3, 0.97, 1e-30, 0.02, 0.0, 1.0), (197, 382)),
 ]
 
 
 def float_block(state0, ntrials, n, k, p, p_pos, q_pos, p_sig, q_sig):
     """Reference: the whole block mixed at once and compared as float64."""
-    per = 3 * n + 2
+    per = n + 2
     u64 = np.uint64
     idx = np.arange(ntrials * per, dtype=u64).reshape(ntrials, per)
     z = u64(state0) + (idx + u64(1)) * u64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> u64(30))) * u64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
     u = ((z ^ (z >> u64(31))) >> u64(11)).astype(np.float64) * 2.0**-53
-    fail = u[:, :n] >= p
-    lost = fail.any(axis=1)
-    active = np.where(lost, np.argmax(fail, axis=1) + 1, n)
-    aux_p = np.where(np.arange(n)[None, :] < active[:, None], p_pos, q_pos)
-    fires = (u[:, n : 2 * n] < aux_p).sum(axis=1)
-    fires += u[:, 2 * n] < np.where(lost, q_sig, p_sig)
-    vac = (u[:, 2 * n + 1 : 3 * n + 1] < q_pos).sum(axis=1) + (u[:, 3 * n + 1] < q_sig)
-    return int((fires >= k).sum()), int((vac >= k).sum())
+    # p**j as the running product 1, p, p * p, ...
+    reached = u[:, :1] < np.cumprod([1.0] + [p] * n)
+    hit = u[:, 1:] < np.array([p_pos] * n + [p_sig])
+    dark = u[:, 1:] < np.array([q_pos] * n + [q_sig])
+    fires = np.where(reached, hit, dark).sum(axis=1)
+    return int((fires >= k).sum()), int((dark.sum(axis=1) >= k).sum())
 
 
 class TestMcBlock:
@@ -251,7 +249,7 @@ class TestMcBlock:
     def test_matches_float_reference_across_chunks(self, n):
         # at least three full chunks and a partial one
         rng = np.random.default_rng(n)
-        rows = _kernels.MC_CHUNK_DRAWS // (3 * n + 2)
+        rows = _kernels.MC_CHUNK_DRAWS // (n + 2)
         edges = [0.0, 1.0, 1e-30, 5e-324, GRID, 1 - 2**-53]
         for _ in range(3):
             k = int(rng.integers(1, n + 2))
@@ -269,8 +267,28 @@ class TestMcBlock:
         assert {oracle.MC_BLOCK_TRIALS, 1} <= {t for t, _ in sizes}
         assert {n for _, n in sizes} == {1, 12, 64}
         for ntrials, n in sizes - {(1, 1), (1, 64)}:
-            rows = _kernels.MC_CHUNK_DRAWS // (3 * n + 2)
+            rows = _kernels.MC_CHUNK_DRAWS // (n + 2)
             assert ntrials > rows and ntrials % rows, (ntrials, n)
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 0.98, 1.0])
+    def test_signal_and_vacuum_trials_share_detector_draws(self, p):
+        # with the photon's firing probabilities equal to the dark ones, reach
+        # changes no comparison, so both trials count the same positives
+        for k, probs in ((1, (0.3, 0.3, 0.6, 0.6)), (3, (GRID, GRID, 0.1, 0.1))):
+            de, dcr = _kernels.mc_block(_kernels.mix64(k), 20_000, 5, k, p, *probs)
+            assert de == dcr > 0, (k, de, dcr)
+
+    def test_loss_draw_reaches_auxiliary_j_with_probability_p_to_the_j(self):
+        # every reached detector fires and no other, so >= j + 1 positives
+        # means the photon reached auxiliary j (j = n: it survived)
+        n, p, trials = 8, 0.5, 100_000
+        for j in range(n + 1):
+            state0 = _kernels.mix64(j)
+            de, dcr = _kernels.mc_block(state0, trials, n, j + 1, p, 1.0, 0.0, 1.0, 0.0)
+            assert dcr == 0
+            reach = p**j
+            band = 5 * math.sqrt(reach * (1 - reach) / trials)
+            assert abs(de / trials - reach) <= band, (j, de)
 
     @pytest.mark.parametrize(
         "x", [0.0, 1.0, 1e-30, 5e-324, GRID, 0.5, 0.1, 1 - 2**-53, 0.5765769999999999]
