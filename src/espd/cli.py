@@ -101,7 +101,12 @@ def _err(message: str) -> None:
 
 
 def _load_json(path: Path) -> dict:
-    data = json.loads(path.read_text(encoding="utf-8"))
+    text = path.read_text(encoding="utf-8")
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        # the decoder recurses once per nesting level
+        raise ValueError("JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("top level must be a JSON object")
     return data

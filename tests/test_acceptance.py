@@ -93,7 +93,7 @@ def _assert_only_misprints(report, context=""):
     want = {m for m in MISPRINTS if m[0] == number}
     detail = f"table {number} mismatches:\n" + _format_failures(number, fails) + context
     assert got == want, detail
-    series = {s.label: s for s in TABLES[number].series}
+    series = {s.label: s for s in TABLES[number]}
     for c in report.cells:
         if (number, c.series, c.level) not in want:
             continue

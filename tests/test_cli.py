@@ -1,11 +1,15 @@
 """CLI contract tests: exit codes, CSV shape, determinism, atomicity."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import stat
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from espd.cli import main
 
@@ -22,6 +26,52 @@ def write_config(path, **overrides):
     data.update(overrides)
     path.write_text(json.dumps(data), encoding="utf-8")
     return path
+
+
+# arbitrary JSON: nested arrays and objects, NaN, infinities, huge ints
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_NUMBERS = st.sampled_from([-0.0, 5e-324, 1e-30, 1e308, -1.0, 1.5, 2**64, 10**400]) | st.floats()
+_KEYS = ("eta0", "d0", "p", "P", "Q", "schedule", "max_levels", "out")
+_PAIRS = st.tuples(st.integers(1, 12), st.integers(1, 12)).map(lambda t: [max(t), min(t)])
+_VALID = st.fixed_dictionaries(
+    {**dict.fromkeys(_KEYS[:5], st.floats(0.0, 1.0)),
+     "schedule": st.lists(_PAIRS, min_size=1, max_size=4)},
+    optional={"max_levels": st.integers(1, 4), "out": st.text(min_size=1, max_size=4)},
+)
+_ENTRIES = _PAIRS | st.lists(st.integers(-1, 70) | _NUMBERS | _JSON, min_size=2, max_size=2) | _JSON
+_DROP = object()
+# up to two edits of a valid config: drop a key, or set a known or unknown
+# key to a malformed value (a schedule of malformed entries included)
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(_KEYS) | st.text(max_size=4),
+        st.just(_DROP) | _NUMBERS | _JSON | st.lists(_ENTRIES, max_size=4),
+    ),
+    max_size=2,
+)
+
+
+def _edited(config, edits):
+    for key, value in edits:
+        if value is _DROP:
+            config.pop(key, None)
+        else:
+            config[key] = value
+    return config
+
+
+def _few_levels(config):
+    # a valid max_levels above 4 would let one example compute up to 1000 levels
+    levels = config.get("max_levels") if isinstance(config, dict) else None
+    return not (type(levels) is int and 4 < levels <= 1000)
+
+
+_CONFIGS = (st.builds(_edited, _VALID, _EDITS) | _JSON).filter(_few_levels)
 
 
 class TestIterate:
@@ -123,8 +173,9 @@ class TestIterate:
              "missing key 'Q'"),
             ('{"eta0": 0.59, "d0": 0.01, "p": 0.98, "P": 0.97, "Q": 0.002,'
              ' "schedule": [[4, 1]], "out": 5}', "out must be a string path"),
+            ("[" * 100_000 + "]" * 100_000, "JSON nested too deeply"),
         ],
-        ids=["not-object", "missing-key", "non-string-out"],
+        ids=["not-object", "missing-key", "non-string-out", "deeply-nested"],
     )
     def test_malformed_config_rejected(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "cfg.json"
@@ -138,6 +189,22 @@ class TestIterate:
         out = tmp_path / "traj.csv"
         main(["iterate", str(cfg), "--out", str(out)])
         assert not out.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=_CONFIGS)
+    def test_generated_config_exits_cleanly(self, tmp_path_factory, config):
+        tmp = tmp_path_factory.getbasetemp()
+        cfg = tmp / "generated.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["iterate", str(cfg), "--out", str(tmp / "generated.csv")])
+        assert code in (0, 2)
+        lines = err.getvalue().split("\n")
+        if code:
+            assert len(lines) == 2 and lines[0].startswith("error: ") and not lines[1], lines
+        else:
+            assert lines == [""], lines
 
 
 class TestTables:

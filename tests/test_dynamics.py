@@ -31,6 +31,7 @@ from espd import (
 )
 from espd import _kernels, de_gain, decision_poly
 from espd.dynamics import check_int, level_figures
+from espd.golden import TABLES, series_trajectory
 
 BASELINE = ComponentParams(p=0.98, P_act=0.97, Q_err=0.002)
 
@@ -74,6 +75,8 @@ def brute_level(det, params, cfg):
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 small_n = st.integers(min_value=1, max_value=8)
+# the endpoints, a tiny dark count and the float just below 1 get drawn often
+edge_probs = st.sampled_from([0.0, 1e-30, 1.0 - 2**-53, 1.0]) | probs
 
 
 @st.composite
@@ -284,6 +287,27 @@ class TestLevelDeDcr:
         assert tight.eta <= loose.eta + 1e-12
         assert tight.dcr <= loose.dcr + 1e-12
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(edge_probs, min_size=4, max_size=4),
+        st.integers(min_value=0, max_value=3),
+        edge_probs,
+        probs,
+        st.integers(min_value=1, max_value=12),
+    )
+    def test_monotone_in_each_firing_probability(self, fp, which, raised, p, n):
+        # _dcr_floor's pruning rests on this: vote tails rise with each
+        # detector's probability, so raising any of (p_pos, q_pos, p_sig,
+        # q_sig) lowers neither figure by more than rounding
+        lo = list(fp)
+        hi = list(fp)
+        lo[which], hi[which] = sorted((fp[which], raised))
+        ks = range(1, n + 1)
+        pairs = zip(ks, level_figures(*lo, p, n, ks), level_figures(*hi, p, n, ks))
+        for k, before, after in pairs:
+            for b, a in zip(before, after):
+                assert a >= b - 4 * 2**-53 * b, (which, k, lo, hi, b, a)
+
     @given(model_draws())
     @settings(max_examples=100)
     def test_survive_term_lower_bounds_de(self, draw):
@@ -466,6 +490,17 @@ class TestHighPrecisionReference:
                 for k, figures in zip(ks, level_figures(*fp, BASELINE.p, n, ks)):
                     for got, want in zip(figures, ref[k]):
                         assert abs(got - want) <= 1e-13 * abs(want), (n, k, d, eta, got, want)
+
+    def test_golden_trajectories(self):
+        # each level starts from the previous level's 30-digit values, so an
+        # error that compounds across levels would show at the deep levels
+        for table in TABLES.values():
+            for series in table:
+                eta, d = series.seed.eta, series.seed.dcr
+                for cfg, got in zip(series.schedule, series_trajectory(series)[1:]):
+                    eta, d = mp_level(eta, d, series.params, cfg.n, [cfg.k])[cfg.k]
+                    for g, want in ((got.eta, eta), (got.dcr, d)):
+                        assert abs(g - want) <= 1e-13 * abs(want), (series.label, cfg, g, want)
 
 
 class TestIterateSchedule:

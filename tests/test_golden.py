@@ -16,7 +16,7 @@ from espd.golden import (
 def test_tables_cover_contracted_numbers():
     assert sorted(TABLES) == [2, 3, 4, 5, 6, 7]
     for table in TABLES.values():
-        for series in table.series:
+        for series in table:
             assert len(series.schedule) == 8
             assert len(series.expected) == 8
 
@@ -43,8 +43,8 @@ def test_unknown_variant_raises():
 
 
 def test_variants_differ_slightly():
-    exact = series_trajectory(TABLES[2].series[0], "exact")
-    approx = series_trajectory(TABLES[2].series[0], "approx")
+    exact = series_trajectory(TABLES[2][0], "exact")
+    approx = series_trajectory(TABLES[2][0], "approx")
     assert exact != approx
     assert exact[1].eta == pytest.approx(approx[1].eta, abs=5e-3)
 
@@ -56,7 +56,7 @@ def test_schedule_label_run_length():
 
 
 def test_figure_panel_counts():
-    assert {n: len(panels) for n, panels in FIGURES.items()} == {2: 4, 3: 2, 4: 4, 5: 2}
+    assert {n: len(figure_panels(n)) for n in FIGURES} == {2: 4, 3: 2, 4: 4, 5: 2}
     for number in FIGURES:
         for stem, rows in figure_panels(number):
             assert rows  # every panel carries data
@@ -73,7 +73,7 @@ def test_figure_three_series_are_transmission_sweep():
 def test_figure_values_match_table_trajectories():
     panels = dict(figure_panels(2))
     table = TABLES[2]
-    for si, series in enumerate(table.series):
+    for si, series in enumerate(table):
         traj = series_trajectory(series)
         label = schedule_label(series.schedule)
         de_rows = [r for r in panels["fig2_seed59_de"] if r[1] == label]
