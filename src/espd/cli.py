@@ -30,7 +30,12 @@ Imports: only :mod:`espd.dynamics` is imported at the top, since every
 command needs it (it also holds the run labels of the schedule CSV).  Each
 command imports the rest of what it uses (``golden``, ``bounds``, ``qkd``,
 ``optimize``, ``oracle``) in its own body, so ``--help`` and every command
-load no module they do not call.
+load no module they do not call.  Before any command runs, :func:`main`
+defaults ``OPENBLAS_NUM_THREADS`` to 1, so the OpenBLAS bundled with numpy
+starts no worker thread when ``optimize`` or ``oracle`` loads it.  No espd
+code calls a BLAS routine (``tests/test_startup.py`` checks), so such a
+worker would only spend CPU.  A value already set is kept, and the library
+modules leave the environment alone.
 """
 
 from __future__ import annotations
@@ -253,11 +258,11 @@ def cmd_optimize(args) -> int:
         max_levels=args.max_levels,
         n_max=args.n_max,
     )
+    out_path = _resolve_out(args.out, "schedules.csv")  # before the search: it can take seconds
     top = None if args.top == 0 else args.top
     results = optimize.search_schedules(query, top=top)
     if args.pareto:
         results = optimize.pareto_front(results)
-    out_path = _resolve_out(args.out, "schedules.csv")
     columns = (results.costs.tolist(), results.eta.tolist(), results.dcr.tolist())
     rows = map("{},{},{:.17g},{:.17g}".format, results.labels(), *columns)
     _atomic_write(out_path, ["schedule,cost,de,dcr", *rows])
@@ -433,6 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # before any command loads numpy; the module docstring says why
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import stat
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -650,6 +651,12 @@ class TestErrorBoundary:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json", "empty_out.json"]
 
+    def test_optimize_checks_out_before_searching(self, tmp_path, capsys, monkeypatch):
+        # the search can take seconds; an empty --out is rejected without it
+        monkeypatch.setattr("espd.optimize.search_schedules", pytest.fail)
+        assert main(self._argv("optimize", tmp_path, "")) == 2
+        assert capsys.readouterr().err == "error: output path must not be empty\n"
+
     @pytest.mark.parametrize("command", ["iterate", "tables", "optimize"])
     def test_unwritable_out(self, tmp_path, capsys, command):
         (tmp_path / "blocker").write_text("file, not a directory")
@@ -694,3 +701,81 @@ class TestErrorBoundary:
         assert main(self._argv("optimize", tmp_path, str(out))) == 1
         assert capsys.readouterr().err == "error: out of memory\n"
         assert not out.exists()
+
+
+# Generated flags for every subcommand but ``iterate``, whose config file is
+# generated above.  Each flag is mostly an in-range value, else a hostile
+# number (ints negative, 0 or huge; floats nan, infinite, subnormal, 1e308 or
+# -0.0) or arbitrary text.  In-range values are capped so each run stays
+# small; a huge value is drawn only where the library rejects it before any
+# work, so never for ``--trials``, which has no upper bound.
+_HUGE = st.sampled_from([2**63, 2**64, 10**30])
+_HOSTILE_FLOAT = st.floats() | st.sampled_from([-0.0, 5e-324, 1e308, float("nan"), -float("inf")])
+_SWITCH = st.none()
+# an output name under the test's directory: "" is the empty path, "." the directory itself
+_OUT = st.text(st.characters(blacklist_characters="/"), max_size=6).filter(lambda s: s != "..")
+
+
+def _arg(good, hostile):
+    # text 1 time in 20 and a hostile number 3 in 20: a command has up to 9 flags
+    pick = {0: st.text(max_size=6), **dict.fromkeys([1, 2, 3], hostile.map(repr))}
+    return st.integers(0, 19).flatmap(lambda i: pick.get(i, good.map(repr)))
+
+
+def _int(lo, cap, huge=_HUGE):
+    return _arg(st.integers(lo, cap), st.integers(-3, 0) | huge)
+
+
+_PROB = _arg(st.floats(0.0, 1.0), _HOSTILE_FLOAT)
+_MODEL = dict.fromkeys(["--eta0", "--d0", "--p", "--P", "--Q"], _PROB)
+# per subcommand: its required flags, then its optional ones
+_FLAGS = {
+    "tables": ({"--table": _int(2, 7)},
+               {"--variant": st.sampled_from(["exact", "approx"]) | st.text(max_size=6),
+                "--out": _OUT}),
+    "figdata": ({"--figure": _int(2, 5)}, {"--out-dir": _OUT}),
+    # the search's size flags are always given: their defaults search for seconds
+    "optimize": ({"--de-target": _PROB, "--dcr-target": _PROB,
+                  "--max-levels": _int(1, 2), "--n-max": _int(1, 4)},
+                 {**_MODEL, "--top": _int(0, 60), "--pareto": _SWITCH, "--out": _OUT}),
+    "oracle": ({"--n": _int(1, 16), "--k": _int(1, 16)},
+               {**_MODEL, "--trials": _int(1, 10**4, huge=st.nothing()), "--seed": _int(0, 99),
+                "--threads": _int(1, 4)}),
+    "qkd": (dict.fromkeys(["--e-th", "--e-c", "--eta", "--dcr"], _PROB),
+            {"--e": _PROB, "--approx": _SWITCH}),
+    "fixedpoints": ({"--n": _int(1, 16), "--k": _int(1, 16)},
+                    {"--p": _PROB, "--P": _PROB, "--grid": _int(100, 10**4)}),
+}
+
+
+class TestGeneratedFlags:
+    """No flag value ends in a traceback: exit 0, 1 or 2, with one error line at most."""
+
+    @pytest.mark.parametrize("command", list(_FLAGS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_generated_flags_exit_cleanly(self, tmp_path_factory, command, data):
+        tmp = tmp_path_factory.getbasetemp() / "flags"
+        required, optional = _FLAGS[command]
+        argv = [command]
+        for flag, value in data.draw(st.fixed_dictionaries(required, optional=optional)).items():
+            if flag in ("--out", "--out-dir"):
+                value = str(tmp / value) if value else ""
+            # "--flag=value": argparse would read a bare "-inf" as an unknown option
+            argv.append(flag if value is None else f"{flag}={value}")
+        err = io.StringIO()
+        with mock.patch.dict(os.environ, {"ESPD_OUT_DIR": str(tmp)}), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2), (argv, lines)
+        if lines and lines[0].startswith("usage: "):
+            assert code == 2 and f"espd {command}: error: " in lines[-1], (argv, lines)
+        else:
+            # exit 1 may be a verdict on stdout, a misprinted table or an oracle "no",
+            # with no error line
+            assert len(lines) in {0: (0,), 1: (0, 1), 2: (1,)}[code], (argv, lines)
+            assert all(line.startswith("error: ") for line in lines), (argv, lines)

@@ -6,8 +6,13 @@ numpy takes about half of a fresh interpreter's start-up, and only
 loads no submodule at all.  Each check runs in a fresh interpreter,
 because a module stays in ``sys.modules`` once anything in the test
 session has imported it.
+
+The CLI runs numpy's OpenBLAS single-threaded unless the user has set
+``OPENBLAS_NUM_THREADS``; that is safe only while no espd code calls a BLAS
+routine, which a scan of the source checks here.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -32,12 +37,14 @@ print(json.dumps([rc, "numpy" in sys.modules, loaded]))
 _BASE = ["binomial", "cli", "dynamics"]
 
 
-def _python(code: str, *args: str, cwd: Path) -> str:
+def _python(code: str, *args: str, cwd: Path, **env: str | None) -> str:
+    """Run ``code`` in a fresh interpreter; an ``env`` value of None unsets it."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **env}
     proc = subprocess.run(
         [sys.executable, "-c", code, *args],
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path},
+        env={key: value for key, value in env.items() if value is not None},
         capture_output=True,
         text=True,
         timeout=120,
@@ -121,3 +128,65 @@ drift = [f"{m}.{n}" for m, names in espd._MODULES.items() for n in names
 print(json.dumps([unlisted, missing, unstarred, drift, type(espd.optimize).__name__]))
 """
     assert json.loads(_python(code, cwd=tmp_path)) == [[], [], [], [], "module"]
+
+
+# Runs one command through espd.cli.main, then reports its exit code, the OS
+# threads left in the process, and the BLAS thread count it ran with.  A
+# joined pool thread can linger in the OS for a moment after Python's join
+# returns, so the count gets a second to settle; a BLAS worker never leaves.
+_THREADS = """
+import json, os, sys, time
+import espd.cli
+rc = espd.cli.main(json.loads(sys.argv[1]))
+deadline = time.monotonic() + 1.0
+while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+    time.sleep(0.01)
+tasks = len(os.listdir("/proc/self/task"))
+print(json.dumps([rc, tasks, os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+_OPTIMIZE = ["optimize", "--de-target", "0.9", "--dcr-target", "1e-3", "--max-levels", "1",
+             "--n-max", "4", "--out", "s.csv"]
+_ORACLE = ["oracle", "--n", "3", "--k", "2", "--trials", "1000", "--threads", "2"]
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux procfs")
+@pytest.mark.parametrize("argv", [_OPTIMIZE, _ORACLE], ids=["optimize", "oracle"])
+def test_array_commands_leave_one_thread(tmp_path, argv):
+    # numpy's OpenBLAS would start a worker thread per extra core on import
+    out = _python(_THREADS, json.dumps(argv), cwd=tmp_path, OPENBLAS_NUM_THREADS=None)
+    assert json.loads(out) == [0, 1, "1"]
+
+
+def test_user_blas_threads_are_kept(tmp_path):
+    out = _python(_THREADS, json.dumps(_ORACLE), cwd=tmp_path, OPENBLAS_NUM_THREADS="2")
+    rc, _, blas = json.loads(out)
+    assert (rc, blas) == (0, "2")
+
+
+# numpy names that reach BLAS: a matrix product, or the modules built on one
+_BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg", "kron"}
+
+
+def _names(node: ast.AST) -> set[str]:
+    """The names ``node`` reaches: ``np.dot``, ``import numpy.linalg``, ``from numpy import dot``."""
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.alias):
+        return set(node.name.split("."))
+    if isinstance(node, ast.ImportFrom):
+        return set((node.module or "").split("."))
+    return set()
+
+
+def test_espd_calls_no_blas():
+    found = set()
+    for path in (SRC / "espd").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(getattr(node, "op", None), ast.MatMult) or _names(node) & _BLAS_NAMES:
+                found.add((path.relative_to(SRC).as_posix(), node.lineno))
+    assert not found, (
+        f"BLAS call at {', '.join(f'{name}:{line}' for name, line in sorted(found))}: "
+        "espd.cli.main defaults OPENBLAS_NUM_THREADS to 1 because espd calls no BLAS; "
+        "revisit that default before such a call lands"
+    )
