@@ -15,7 +15,7 @@ the candidate steady states of constant-config iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import binomial
 from .dynamics import N_MAX, check_int, check_number, check_prob
@@ -42,17 +42,12 @@ class PreconditionError(ValueError):
     """A bound was requested outside the region where it is established."""
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
-    """Roots of the gain function on (0, 1] plus the positive-gain interval.
-
-    Every root r satisfies |gain(r)| <= ROOT_GAIN_TOL; roots are sorted
-    ascending and deduplicated within ROOT_DEDUP_TOL.  Which root (if any)
-    attracts the iteration is not designated -- the report is a diagnostic.
-    """
-
-    roots: tuple[float, ...]
-    gain_positive_interval: tuple[float, float] | None
+# Roots of the gain function on (0, 1] plus the positive-gain interval, a
+# (lo, hi) pair or None.  Every root r satisfies |gain(r)| <= ROOT_GAIN_TOL;
+# roots are a tuple sorted ascending and deduplicated within ROOT_DEDUP_TOL.
+# Which root (if any) attracts the iteration is not designated -- the report
+# is a diagnostic.
+FixedPointReport = namedtuple("FixedPointReport", "roots gain_positive_interval")
 
 
 def decision_poly(a: float, n: int, k: int, x: float) -> float:

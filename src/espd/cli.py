@@ -29,7 +29,8 @@ reports a failed threshold computation with exit 1.
 Imports: only :mod:`espd.dynamics` is imported at the top, since every
 command needs it (it also holds the run labels of the schedule CSV).  Each
 command imports the rest of what it uses (``golden``, ``bounds``, ``qkd``,
-``optimize``, ``oracle``) in its own body, so ``--help`` and every command
+``optimize``, ``oracle``) in its own body, and :mod:`json` is imported
+only where ``iterate`` reads its config, so ``--help`` and every command
 load no module they do not call.  Before any command runs, :func:`main`
 defaults ``OPENBLAS_NUM_THREADS`` to 1, so the OpenBLAS bundled with numpy
 starts no worker thread when ``optimize`` or ``oracle`` loads it.  No espd
@@ -41,7 +42,6 @@ modules leave the environment alone.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -106,9 +106,13 @@ def _err(message: str) -> None:
 
 
 def _load_json(path: Path) -> dict:
+    import json
+
     text = path.read_text(encoding="utf-8")
     try:
         data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         # the decoder recurses once per nesting level
         raise ValueError("JSON nested too deeply") from None
@@ -190,8 +194,6 @@ def cmd_iterate(args) -> int:
         out_path = _resolve_out(out, "trajectory.csv")
     except (OSError, ValueError) as exc:
         # an unreadable config is bad input (exit 2), like an invalid one
-        if isinstance(exc, json.JSONDecodeError):
-            exc = f"line {exc.lineno} column {exc.colno}: {exc.msg}"
         raise ValueError(f"{path}: {exc}") from None
     if args.out is not None:
         out_path = _resolve_out(args.out, "trajectory.csv")

@@ -19,14 +19,20 @@ tables' ``approx`` variant, :func:`approx_firing_probs`), and
 :func:`level_figures` maps a tuple to the next level's figures.  The scalar
 entries :func:`level_map`, :func:`de_loss_case` and :func:`de_survive_case`
 all take the validated ``(det, params, config)``.
+
+The records here (and in the other modules) are named tuples, built
+positionally or by keyword, checked on construction where they carry
+checks, immutable and hashable.  Being tuples, they iterate over their
+fields, order like tuples, and compare equal to any tuple of the same
+values.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from . import binomial
 
@@ -115,20 +121,19 @@ def check_prob(name: str, value) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class DetectorPerformance:
+class DetectorPerformance(namedtuple("DetectorPerformance", "eta dcr")):
     """A detector stage's efficiency/dark-count pair (both probabilities)."""
 
-    eta: float
-    dcr: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_prob("eta", self.eta)
         check_prob("dcr", self.dcr)
+        return self
 
 
-@dataclass(frozen=True)
-class ComponentParams:
+class ComponentParams(namedtuple("ComponentParams", "p P_act Q_err")):
     """Intrinsic constants of one (non-cascaded) controlled-gate module.
 
     p      -- signal-path transmission through a single module
@@ -141,46 +146,45 @@ class ComponentParams:
     cumulative loss enters through the level map's scenario weights.
     """
 
-    p: float
-    P_act: float
-    Q_err: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_prob("p", self.p)
         check_prob("P_act", self.P_act)
         check_prob("Q_err", self.Q_err)
+        return self
 
 
-@dataclass(frozen=True)
-class LevelConfig:
+class LevelConfig(namedtuple("LevelConfig", "n k")):
     """Per-level choice: n controlled modules, vote threshold k."""
 
-    n: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_int("n", self.n, 1, N_MAX)
         check_int("k", self.k, 1, self.n)
+        return self
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Ordered per-level configs plus the shared module constants."""
+class Schedule(namedtuple("Schedule", "params levels")):
+    """Ordered per-level configs (a tuple of LevelConfig) plus the shared module constants."""
 
-    params: ComponentParams
-    levels: tuple[LevelConfig, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.params, ComponentParams):
-            raise ValueError(f"params must be a ComponentParams, got {self.params!r}")
-        if not isinstance(self.levels, Iterable):
-            raise ValueError(f"levels must be an iterable of LevelConfig, got {self.levels!r}")
-        object.__setattr__(self, "levels", tuple(self.levels))
-        if len(self.levels) == 0:
+    def __new__(cls, params, levels):
+        if not isinstance(params, ComponentParams):
+            raise ValueError(f"params must be a ComponentParams, got {params!r}")
+        if not isinstance(levels, Iterable):
+            raise ValueError(f"levels must be an iterable of LevelConfig, got {levels!r}")
+        levels = tuple(levels)
+        if len(levels) == 0:
             raise ValueError("schedule must contain at least one level")
-        for cfg in self.levels:
+        for cfg in levels:
             if not isinstance(cfg, LevelConfig):
                 raise ValueError("schedule levels must be LevelConfig instances")
+        return super().__new__(cls, params, levels)
 
 
 def run_label(names: list[str]) -> str:
@@ -201,23 +205,19 @@ def schedule_label(schedule: tuple[LevelConfig, ...]) -> str:
     return run_label([f"{cfg.n}:{cfg.k}" for cfg in schedule])
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    level: int
-    config: LevelConfig | None
-    perf: DetectorPerformance
+# config is None at level 0, the seed detector
+TrajectoryPoint = namedtuple("TrajectoryPoint", "level config perf")
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(namedtuple("Trajectory", "points converged_at", defaults=(None,))):
     """Performance sequence produced by iterating the level map.
 
     ``points[0]`` is the seed detector (no config); every later point carries
-    the config that produced it.
+    the config that produced it.  ``converged_at`` is the level at which
+    iteration stopped early, or None.
     """
 
-    points: tuple[TrajectoryPoint, ...]
-    converged_at: int | None = None
+    __slots__ = ()
 
     @property
     def converged(self) -> bool:
@@ -227,24 +227,25 @@ class Trajectory:
         return self.points[-1].perf
 
 
-@dataclass(frozen=True)
-class ConvergenceRule:
+class ConvergenceRule(
+    namedtuple("ConvergenceRule", "max_levels eta_tol dcr_tol", defaults=(32, 1e-12, 1e-12))
+):
     """Stop rule for iteration: level cap plus absolute step tolerances.
 
     Iteration stops early once BOTH successive changes fall strictly below
     the tolerances; a tolerance of 0.0 therefore disables early stopping.
     """
 
-    max_levels: int = 32
-    eta_tol: float = 1e-12
-    dcr_tol: float = 1e-12
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_int("max_levels", self.max_levels, 1, MAX_LEVELS)
         # a NaN tolerance compares false and would silently disable early stopping
         for name in ("eta_tol", "dcr_tol"):
             if check_number(name, getattr(self, name)) < 0.0:
                 raise ValueError("tolerances must be >= 0")
+        return self
 
 
 def firing_probs(eta, dcr, P_act: float, Q_err: float) -> tuple:

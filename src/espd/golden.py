@@ -20,7 +20,7 @@ a ``_dcr`` panel, both from one trajectory per series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .dynamics import (
     ComponentParams,
@@ -54,39 +54,27 @@ _LEVELS = 8
 _VARIANTS = {"exact": firing_probs, "approx": approx_firing_probs}
 
 
-@dataclass(frozen=True)
-class GoldenSeries:
-    label: str
-    seed: DetectorPerformance
-    params: ComponentParams
-    schedule: tuple[LevelConfig, ...]  # one config per level 1..8
-    expected: tuple[tuple[float, float], ...]  # (DE %, DCR) per level 1..8
+GoldenSeries = namedtuple(
+    "GoldenSeries",
+    [
+        "label",
+        "seed",  # DetectorPerformance
+        "params",  # ComponentParams
+        "schedule",  # one LevelConfig per level 1..8
+        "expected",  # (DE %, DCR) per level 1..8
+    ],
+)
 
+# one published cell against its recomputed value
+CellResult = namedtuple(
+    "CellResult",
+    "series level n k"
+    " de_expected_pct de_computed_pct de_delta_pp de_ok"
+    " dcr_expected dcr_computed dcr_rel_err dcr_ok",
+)
 
-@dataclass(frozen=True)
-class CellResult:
-    series: str
-    level: int
-    n: int
-    k: int
-    de_expected_pct: float
-    de_computed_pct: float
-    de_delta_pp: float
-    de_ok: bool
-    dcr_expected: float
-    dcr_computed: float
-    dcr_rel_err: float
-    dcr_ok: bool
-
-
-@dataclass(frozen=True)
-class TableReport:
-    number: int
-    variant: str
-    cells: tuple[CellResult, ...]
-    all_ok: bool
-    n_ok: int
-    n_total: int
+# cells is a tuple of CellResult; n_ok counts those with de_ok and dcr_ok
+TableReport = namedtuple("TableReport", "number variant cells all_ok n_ok n_total")
 
 
 def _cfgs(*pairs: tuple[int, int]) -> tuple[LevelConfig, ...]:

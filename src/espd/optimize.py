@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,8 +74,13 @@ MAX_SEARCH_N = 12
 FLOOR_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class OptimizationQuery:
+class OptimizationQuery(
+    namedtuple(
+        "OptimizationQuery",
+        "init params de_target dcr_target max_levels n_max",
+        defaults=(4, 8),
+    )
+):
     """Target regime and search-space bounds for schedule search.
 
     Targets must be finite and >= 0; finite targets above 1 are accepted
@@ -84,14 +89,10 @@ class OptimizationQuery:
     ``dcr <= dcr_target``.
     """
 
-    init: DetectorPerformance
-    params: ComponentParams
-    de_target: float
-    dcr_target: float
-    max_levels: int = 4
-    n_max: int = 8
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.init, DetectorPerformance):
             raise ValueError(f"init must be a DetectorPerformance, got {self.init!r}")
         if not isinstance(self.params, ComponentParams):
@@ -102,17 +103,13 @@ class OptimizationQuery:
             value = getattr(self, name)
             if check_number(name, value) < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {value!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class RankedSchedule:
-    schedule: Schedule
-    final: DetectorPerformance
-    cost: int
-    levels_used: int
+# a Schedule, its final DetectorPerformance, its cost and its level count
+RankedSchedule = namedtuple("RankedSchedule", "schedule final cost levels_used")
 
 
-@dataclass(frozen=True, eq=False)
 class SearchResult(Sequence):
     """Ranked schedules as columns, read as a sequence of :class:`RankedSchedule`.
 
@@ -123,12 +120,23 @@ class SearchResult(Sequence):
     row's :class:`RankedSchedule` on access; a slice is another ``SearchResult``.
     """
 
-    params: ComponentParams
-    configs: tuple[LevelConfig, ...]
-    codes: np.ndarray  # uint64
-    costs: np.ndarray  # int64
-    eta: np.ndarray  # float64
-    dcr: np.ndarray  # float64
+    __slots__ = ("params", "configs", "codes", "costs", "eta", "dcr")
+
+    def __init__(
+        self,
+        params: ComponentParams,
+        configs: tuple[LevelConfig, ...],
+        codes: np.ndarray,  # uint64
+        costs: np.ndarray,  # int64
+        eta: np.ndarray,  # float64
+        dcr: np.ndarray,  # float64
+    ) -> None:
+        self.params = params
+        self.configs = configs
+        self.codes = codes
+        self.costs = costs
+        self.eta = eta
+        self.dcr = dcr
 
     def __len__(self) -> int:
         return len(self.codes)

@@ -19,8 +19,8 @@ ingredient with the closed form is the model definition itself.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from . import _kernels
 from .dynamics import ComponentParams, DetectorPerformance, LevelConfig, check_int, level_map
@@ -46,24 +46,12 @@ MC_BLOCK_TRIALS = 65536
 MC_MAX_THREADS = 256
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    """Closed form vs. enumeration vs. Monte Carlo for one level map."""
-
-    closed_de: float
-    closed_dcr: float
-    enum_de: float
-    enum_dcr: float
-    mc_de: float
-    mc_dcr: float
-    mc_stderr_de: float
-    mc_stderr_dcr: float
-    trials: int
-    seed: int
-    enum_abs_err_de: float
-    enum_abs_err_dcr: float
-    enum_ok: bool
-    mc_ok: bool
+# Closed form vs. enumeration vs. Monte Carlo for one level map.
+OracleReport = namedtuple(
+    "OracleReport",
+    "closed_de closed_dcr enum_de enum_dcr mc_de mc_dcr mc_stderr_de mc_stderr_dcr"
+    " trials seed enum_abs_err_de enum_abs_err_dcr enum_ok mc_ok",
+)
 
 
 def _check_enum_size(n: int) -> None:

@@ -10,15 +10,14 @@ the efficiency helps both ``gamma`` and the raw key rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .dynamics import DetectorPerformance, check_number, check_prob
 
 __all__ = ["QkdScenario", "gamma_exact", "gamma_approx"]
 
 
-@dataclass(frozen=True)
-class QkdScenario:
+class QkdScenario(namedtuple("QkdScenario", "e_th e_c e", defaults=(None,))):
     """Protocol error budget: secure threshold e_th, non-detector rate e_c.
 
     ``e`` weighs the dark-count term in the exact denominator; it defaults
@@ -26,11 +25,10 @@ class QkdScenario:
     ``dcr << e_th - e_c``, so the default cannot silently skew results.
     """
 
-    e_th: float
-    e_c: float
-    e: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_number("e_th", self.e_th)
         check_number("e_c", self.e_c)
         # e_th == 0.5 is allowed as the degenerate boundary (gamma = 0).
@@ -40,6 +38,7 @@ class QkdScenario:
             )
         if self.e is not None:
             check_prob("e", self.e)
+        return self
 
     @property
     def effective_e(self) -> float:

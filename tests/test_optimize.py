@@ -386,6 +386,25 @@ class TestSearchResult:
         with pytest.raises(IndexError):
             result[len(result)]
 
+    def test_columns_read_as_a_sequence_of_rows(self):
+        # a set of columns, not a record: == is identity and iteration yields rows
+        pool = _pool([
+            ([(4, 1)], 0.9, 1e-3), ([(1, 1), (4, 2)], 0.95, 1e-4), ([(2, 1)], 0.8, 1e-2),
+        ])
+        columns = ("params", "configs", "codes", "costs", "eta", "dcr")
+        same = SearchResult(**{name: getattr(pool, name) for name in columns})
+        assert same != pool and same.labels() == pool.labels() == ["4:1", "1:1+4:2", "2:1"]
+        assert len(pool) == 3 and list(pool) == [pool[0], pool[1], pool[-1]]
+        assert pool[0] == RankedSchedule(
+            Schedule(BASELINE, (LevelConfig(4, 1),)), DetectorPerformance(0.9, 1e-3), 5, 1
+        )
+        part = pool[1:]
+        assert isinstance(part, SearchResult) and part.configs is pool.configs
+        assert part.labels() == ["1:1+4:2", "2:1"] and part.costs.tolist() == [10, 3]
+        assert pareto_front(pool).labels() == ["2:1", "4:1", "1:1+4:2"]
+        with pytest.raises(AttributeError):
+            pool.extra = None
+
     def test_six_level_codes_decode_at_full_width(self):
         # Every schedule of up to 6 levels over the 3 configs with n <= 2, so
         # 5- and 6-byte codes are ranked and decoded.

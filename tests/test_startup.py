@@ -3,7 +3,10 @@
 numpy takes about half of a fresh interpreter's start-up, and only
 ``optimize`` and ``oracle`` use arrays; the golden tables, ``bounds`` and
 ``qkd`` load only for the commands that call them, and ``import espd``
-loads no submodule at all.  Each check runs in a fresh interpreter,
+loads no submodule at all.  No command loads ``dataclasses`` (with the
+``inspect`` and ``ast`` it imports; the records are named tuples), and
+only ``iterate``, which reads a JSON config, loads ``json``.  Each check
+runs in a fresh interpreter,
 because a module stays in ``sys.modules`` once anything in the test
 session has imported it.
 
@@ -23,14 +26,20 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Runs one command through espd.cli.main, then reports its exit code,
-# whether numpy was imported, and which espd submodules were.
-_CLI = """
-import json, sys
+# the imports a command pays for only if it uses them
+_WATCHED = ("numpy", "dataclasses", "json")
+
+# Runs one command (its argv after the code) through espd.cli.main, then
+# reports its exit code, which _WATCHED modules were imported, and which
+# espd submodules were.  It imports json only after taking that record.
+_CLI = f"""
+import sys
 import espd.cli
-rc = espd.cli.main(json.loads(sys.argv[1]))
+rc = espd.cli.main(sys.argv[1:])
+watched = [m for m in {_WATCHED!r} if m in sys.modules]
 loaded = sorted(m[5:] for m in sys.modules if m.startswith("espd."))
-print(json.dumps([rc, "numpy" in sys.modules, loaded]))
+import json
+print(json.dumps([rc, watched, loaded]))
 """
 
 # what every command loads: the CLI and the level map it is built on
@@ -66,8 +75,8 @@ def _python(code: str, *args: str, cwd: Path, **env: str | None) -> str:
     ids=["import-espd", "import-espd-cli", "help"],
 )
 def test_import_and_help_leave_numpy_unloaded(tmp_path, statement):
-    out = _python(f"import sys\n{statement}\nprint('numpy' in sys.modules)", cwd=tmp_path)
-    assert out == "False"
+    code = f"import sys\n{statement}\nprint([m for m in {_WATCHED!r} if m in sys.modules])"
+    assert _python(code, cwd=tmp_path) == "[]"
 
 
 RUN_JSON = {
@@ -77,26 +86,26 @@ RUN_JSON = {
 
 
 @pytest.mark.parametrize(
-    "argv,rc,loads_numpy,own",
+    "argv,rc,watched,own",
     [
         # table 3 carries a published misprint, so it exits 1
-        (["tables", "--table", "3", "--out", "t3.csv"], 1, False, ["golden"]),
-        (["figdata", "--figure", "2", "--out-dir", "fig"], 0, False, ["golden"]),
-        (["fixedpoints", "--n", "4", "--k", "2"], 0, False, ["bounds"]),
+        (["tables", "--table", "3", "--out", "t3.csv"], 1, [], ["golden"]),
+        (["figdata", "--figure", "2", "--out-dir", "fig"], 0, [], ["golden"]),
+        (["fixedpoints", "--n", "4", "--k", "2"], 0, [], ["bounds"]),
         (["qkd", "--e-th", "0.11", "--e-c", "0.02", "--eta", "0.934", "--dcr", "8.5e-10"],
-         0, False, ["qkd"]),
-        (["iterate", "run.json", "--out", "traj.csv"], 0, False, []),
+         0, [], ["qkd"]),
+        (["iterate", "run.json", "--out", "traj.csv"], 0, ["json"], []),
         (["optimize", "--de-target", "0.9", "--dcr-target", "1e-3", "--max-levels", "1",
-          "--n-max", "4", "--out", "s.csv"], 0, True, ["_kernels", "optimize"]),
-        (["oracle", "--n", "3", "--k", "2", "--trials", "1000"], 0, True,
+          "--n-max", "4", "--out", "s.csv"], 0, ["numpy"], ["_kernels", "optimize"]),
+        (["oracle", "--n", "3", "--k", "2", "--trials", "1000"], 0, ["numpy"],
          ["_kernels", "oracle"]),
     ],
     ids=["tables", "figdata", "fixedpoints", "qkd", "iterate", "optimize", "oracle"],
 )
-def test_only_array_commands_load_numpy(tmp_path, argv, rc, loads_numpy, own):
+def test_only_array_commands_load_numpy(tmp_path, argv, rc, watched, own):
     (tmp_path / "run.json").write_text(json.dumps(RUN_JSON), encoding="utf-8")
-    out = _python(_CLI, json.dumps(argv), cwd=tmp_path)
-    assert json.loads(out) == [rc, loads_numpy, sorted(_BASE + own)]
+    out = _python(_CLI, *argv, cwd=tmp_path)
+    assert json.loads(out) == [rc, watched, sorted(_BASE + own)]
 
 
 def test_import_espd_loads_no_submodule_until_accessed(tmp_path):
