@@ -22,6 +22,7 @@ __all__ = [
     "powers",
     "pmf_row",
     "tail_table",
+    "row_tails",
     "conv_tail_from",
     "clamp1",
     "pmf",
@@ -62,11 +63,19 @@ def pmf_row(n: int, xp: list, yp: list) -> list:
 def tail_table(n: int, xp: list, yp: list) -> list:
     """``[P[Binomial(n, x) >= m] for m in 0..n+1]`` from shared powers.
 
+    The :func:`row_tails` of :func:`pmf_row`.
+    """
+    return row_tails(pmf_row(n, xp, yp))
+
+
+def row_tails(row: list) -> list:
+    """``[P[X >= m] for m in 0..n+1]`` from X's pmf row ``[P[X == j] for j in 0..n]``.
+
     Entry 0 is exactly 1 and entry ``n + 1`` exactly 0; the others are the
-    pmf terms summed from ``j = n`` down to ``m``.  Rounding can lift a sum
+    row's terms summed from ``j = n`` down to ``m``.  Rounding can lift a sum
     an ulp above 1; callers clamp what they return.
     """
-    row = pmf_row(n, xp, yp)
+    n = len(row) - 1
     table = [1.0] + [0.0] * (n + 1)
     acc = 0.0
     for j in range(n, 0, -1):
@@ -75,19 +84,23 @@ def tail_table(n: int, xp: list, yp: list) -> list:
     return table
 
 
-def conv_tail_from(row1: list, table2: list, m: int):
-    """P[X1 + X2 >= m] from X1's pmf row and X2's tail table.
+def conv_tail_from(row1: list, tails1: list, table2: list, m: int):
+    """P[X1 + X2 >= m] from X1's pmf row and :func:`row_tails`, and X2's tail table.
 
-    For every first count j1 (descending) the remaining mass is the second
-    tail at ``m - j1``; counts that leave more than X2 can supply add
-    nothing and are skipped.
+    The first counts ``j1 >= m`` alone reach m: their mass, summed from the
+    top down, is X1's tail at m (``x * 1.0`` and ``0.0 + x`` are exact, so
+    it is the same sum as adding each such count times X2's tail at
+    ``m - j1 <= 0``, which is 1).  Each lower count j1 (descending) then
+    adds its mass times X2's tail at ``m - j1``; counts that leave more
+    than X2 can supply add nothing and are skipped.
     """
     if m <= 0:
         return 1.0
     n1, n2 = len(row1) - 1, len(table2) - 2
-    acc = 0.0
-    for j1 in range(n1, max(m - n2, 0) - 1, -1):
-        acc = acc + row1[j1] * (table2[m - j1] if j1 < m else 1.0)
+    top = min(m, n1 + 1)
+    acc = tails1[top]
+    for j1 in range(top - 1, max(m - n2, 0) - 1, -1):
+        acc = acc + row1[j1] * table2[m - j1]
     return clamp1(acc)
 
 
@@ -126,4 +139,5 @@ def conv_tail(n1: int, x: float, n2: int, y: float, m: int) -> float:
     count j1 the remaining mass is the second binomial's tail at ``m - j1``.
     """
     row1 = pmf_row(n1, powers(x, n1), powers(1.0 - x, n1))
-    return conv_tail_from(row1, tail_table(n2, powers(y, n2), powers(1.0 - y, n2)), m)
+    table2 = tail_table(n2, powers(y, n2), powers(1.0 - y, n2))
+    return conv_tail_from(row1, row_tails(row1), table2, m)

@@ -21,8 +21,8 @@ entries :func:`level_map`, :func:`de_loss_case` and :func:`de_survive_case`
 all take the validated ``(det, params, config)``.
 
 The records here (and in the other modules) are named tuples, built
-positionally or by keyword, checked on construction where they carry
-checks, immutable and hashable.  Being tuples, they iterate over their
+positionally or by keyword, checked on construction (and by ``_make`` and
+``_replace``) where they carry checks, immutable and hashable.  Being tuples, they iterate over their
 fields, order like tuples, and compare equal to any tuple of the same
 values.
 """
@@ -42,6 +42,7 @@ __all__ = [
     "check_number",
     "check_int",
     "check_prob",
+    "checked_make",
     "DetectorPerformance",
     "ComponentParams",
     "LevelConfig",
@@ -53,7 +54,9 @@ __all__ = [
     "ConvergenceRule",
     "firing_probs",
     "approx_firing_probs",
+    "vacuum_figures",
     "level_figures",
+    "de_ceiling",
     "de_loss_case",
     "de_survive_case",
     "level_map",
@@ -121,10 +124,24 @@ def check_prob(name: str, value) -> float:
     return value
 
 
+def checked_make(cls, iterable):
+    """A checked record's ``_make``, which ``_replace`` also calls.
+
+    namedtuple's own ``_make`` builds the tuple without the record's
+    ``__new__``, and so without its checks; this one builds it through
+    ``__new__``, after the same length check.
+    """
+    values = tuple(iterable)
+    if len(values) != len(cls._fields):
+        raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(values)}")
+    return cls(*values)
+
+
 class DetectorPerformance(namedtuple("DetectorPerformance", "eta dcr")):
     """A detector stage's efficiency/dark-count pair (both probabilities)."""
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -147,6 +164,7 @@ class ComponentParams(namedtuple("ComponentParams", "p P_act Q_err")):
     """
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -160,6 +178,7 @@ class LevelConfig(namedtuple("LevelConfig", "n k")):
     """Per-level choice: n controlled modules, vote threshold k."""
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -172,6 +191,7 @@ class Schedule(namedtuple("Schedule", "params levels")):
     """Ordered per-level configs (a tuple of LevelConfig) plus the shared module constants."""
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, params, levels):
         if not isinstance(params, ComponentParams):
@@ -237,6 +257,7 @@ class ConvergenceRule(
     """
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -288,20 +309,37 @@ def _power_pair(x, n: int) -> tuple[list, list]:
     return binomial.powers(x, n), binomial.powers(1.0 - x, n)
 
 
-def _vote(s, tails, k: int):
-    # a firing signal detector (probability s) lowers the vote threshold by one
-    return (1.0 - s) * tails[k] + s * tails[k - 1]
+def _vote(s, tails, ks):
+    # For each k in ks, one at a time: a firing signal detector (probability
+    # s) lowers the vote threshold by one.
+    r = 1.0 - s
+    return (r * tails[k] + s * tails[k - 1] for k in ks)
 
 
 def _loss_tails(pp, py, qp, qy, n: int, i: int, ms) -> list:
     # Lost after module i: auxiliaries 1..i fire with p_pos, the other
     # n - i with q_pos; their vote tail at every count m in ms, at index m.
     row = binomial.pmf_row(i, pp, py)
+    own = binomial.row_tails(row)  # one top-down sum serves every m
     table = binomial.tail_table(n - i, qp, qy)
     tails = [None] * (n + 1)
     for m in ms:
-        tails[m] = binomial.conv_tail_from(row, table, m)
+        tails[m] = binomial.conv_tail_from(row, own, table, m)
     return tails
+
+
+def vacuum_figures(q_pos, q_sig, n: int, ks) -> tuple:
+    """The vacuum half of the level map: next-level dcr for each threshold in ``ks``.
+
+    On a vacuum input every auxiliary fires with ``q_pos`` and the signal
+    detector with ``q_sig``, whatever the transmission.  Returns
+    ``(qp, qy, dcrs, vacuum)``: the powers of ``q_pos`` and ``1 - q_pos`` up
+    to n, the dcrs in the order of ``ks``, and Bin(n, q_pos)'s tail table.
+    :func:`level_figures` calls it, so each dcr is the same bits as there.
+    """
+    qp, qy = _power_pair(q_pos, n)
+    vacuum = binomial.tail_table(n, qp, qy)
+    return qp, qy, [binomial.clamp1(v) for v in _vote(q_sig, vacuum, ks)], vacuum
 
 
 def level_figures(p_pos, q_pos, p_sig, q_sig, p: float, n: int, ks) -> list:
@@ -313,30 +351,47 @@ def level_figures(p_pos, q_pos, p_sig, q_sig, p: float, n: int, ks) -> list:
     (returns floats) or equal-shape float64 arrays (returns arrays); both
     give bit-identical values.  DE mixes the loss scenarios, survive-all
     with weight ``p**n`` and lost-after-module-i with weight
-    ``p**(i-1) * (1-p)``; DCR is the vacuum-input vote, where transmission
-    plays no role.  Work that does not depend on k is done once, and each
-    vote tail once, since threshold k reads the tails at k and k - 1.
+    ``p**(i-1) * (1-p)``; DCR is the vacuum-input vote of
+    :func:`vacuum_figures`, where transmission plays no role.  Work that
+    does not depend on k is done once, and each vote tail once, since
+    threshold k reads the tails at k and k - 1.
     """
     pp, py = _power_pair(p_pos, n)
-    qp, qy = _power_pair(q_pos, n)
+    qp, qy, dcrs = vacuum_figures(q_pos, q_sig, n, ks)[:3]
     ms = {m for k in ks for m in (k - 1, k)}
     totals = [0.0] * len(ks)
     pw = 1.0
     for i in range(1, n + 1):
         tails = _loss_tails(pp, py, qp, qy, n, i, ms)
         w = pw * (1.0 - p)
-        for j, k in enumerate(ks):
-            totals[j] = totals[j] + w * _vote(q_sig, tails, k)
+        for j, v in enumerate(_vote(q_sig, tails, ks)):
+            totals[j] = totals[j] + w * v
         pw = pw * p
     survive = binomial.tail_table(n, pp, py)
-    vacuum = binomial.tail_table(n, qp, qy)
     return [
-        (
-            binomial.clamp1(t + pw * _vote(p_sig, survive, k)),
-            binomial.clamp1(_vote(q_sig, vacuum, k)),
-        )
-        for t, k in zip(totals, ks)
+        (binomial.clamp1(t + pw * v), dcr)
+        for t, v, dcr in zip(totals, _vote(p_sig, survive, ks), dcrs)
     ]
+
+
+def de_ceiling(p_pos, p_sig, q_sig, p: float, n: int, ks, vacuum=None) -> list:
+    """An upper bound on the next-level de for each vote threshold in ``ks``.
+
+    ``p**n * vote(p_sig, S) + (1 - p**n) * vote(q_sig, X)``, where S is
+    Bin(n, p_pos)'s tail table and X that of Bin(n, max(p_pos, q_pos)):
+    pass :func:`vacuum_figures`' table as ``vacuum`` where ``q_pos`` may
+    exceed ``p_pos`` (``Q_err > P_act``), else X is S.  The survive term is
+    :func:`level_figures`' own.  In each loss scenario every auxiliary
+    fires with probability at most max(p_pos, q_pos), and vote tails rise
+    with each detector's probability (the coupling argument, Shaked and
+    Shanthikumar, *Stochastic Orders*, 2007), so each scenario's vote is
+    at most the one over X; their weights sum to ``1 - p**n``.  The bound
+    holds up to rounding, a few ulps, which callers must allow for.
+    """
+    survive = binomial.tail_table(n, *_power_pair(p_pos, n))
+    pw = binomial.powers(p, n)[n]
+    loss = _vote(q_sig, survive if vacuum is None else vacuum, ks)
+    return [pw * s + (1.0 - pw) * x for s, x in zip(_vote(p_sig, survive, ks), loss)]
 
 
 def de_loss_case(
@@ -356,7 +411,8 @@ def de_loss_case(
     check_int("loss position i", i, 1, n)
     p_pos, q_pos, _, q_sig = firing_probs(det.eta, det.dcr, params.P_act, params.Q_err)
     tails = _loss_tails(*_power_pair(p_pos, n), *_power_pair(q_pos, n), n, i, (k - 1, k))
-    return _vote(q_sig, tails, k)
+    (vote,) = _vote(q_sig, tails, (k,))
+    return vote
 
 
 def de_survive_case(
@@ -370,7 +426,8 @@ def de_survive_case(
     """
     p_pos, _, p_sig, _ = firing_probs(det.eta, det.dcr, params.P_act, params.Q_err)
     table = binomial.tail_table(config.n, *_power_pair(p_pos, config.n))
-    return _vote(p_sig, table, config.k)
+    (vote,) = _vote(p_sig, table, (config.k,))
+    return vote
 
 
 def level_map(

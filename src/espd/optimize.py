@@ -5,10 +5,11 @@ per-level configs {(n, k): 1 <= k <= n <= n_max}, breadth-first with the
 batch level-map kernel, and returns the schedules meeting the efficiency /
 dark-count targets ranked by detection cost.  Cost is the total number of
 base detections, the product of (n_l + 1) over the levels.  Each level
-expands the frontier with one kernel call per n, which evaluates every
-threshold k of that n in one pass.
+expands the frontier with at most one kernel call per n, which evaluates
+the thresholds k of that n in one pass: every threshold at the inner
+levels, the screened ones at the last.
 
-Two prunes keep the tree manageable without touching exactness:
+Three prunes keep the tree manageable without touching exactness:
 
 * once the requested number M of feasible schedules is in hand, a parent
   is expanded at n only while its child's cost, cost * (n + 1), is at most
@@ -20,7 +21,15 @@ Two prunes keep the tree manageable without touching exactness:
 * prefixes whose dark-count rate provably cannot reach the target even
   under the best possible continuation (an exact lower bound on the
   next-level dark count, iterated over the remaining depth) stop
-  expanding.
+  expanding;
+* at the last level only, where a row is kept only if it meets both
+  targets, a screen runs before the kernel at each n.  It computes every
+  threshold's exact next-level dark count (the vacuum half of the level
+  map, :func:`espd.dynamics.vacuum_figures`) and a sound ceiling on its
+  efficiency (:func:`espd.dynamics.de_ceiling`, raised by a rounding
+  margin).  The kernel then gets only the parents that meet both targets
+  at some threshold, and only the thresholds some parent meets them at,
+  so each row's tables are still built once for all of its thresholds.
 
 Each config's rows are filtered as they leave the kernel: its feasible rows
 join the results, and only its rows above the dark-count floor join the
@@ -54,8 +63,12 @@ from .dynamics import (
     Schedule,
     check_int,
     check_number,
+    checked_make,
+    de_ceiling,
+    firing_probs,
     iterate_schedule,  # noqa: F401 -- looked up here by perfbench/tracer.py
     run_label,
+    vacuum_figures,
 )
 
 __all__ = [
@@ -69,9 +82,12 @@ __all__ = [
 
 MAX_SEARCH_LEVELS = 6
 MAX_SEARCH_N = 12
-# Relative margin of the dark-count floor; far above the few-ulp rounding
-# of the level map at n <= MAX_SEARCH_N.
-FLOOR_SLACK = 1e-12
+# Relative margin of the dark-count floor and the efficiency ceiling; far
+# above the few-ulp rounding of the level map at n <= MAX_SEARCH_N.
+SLACK = 1e-12
+# Absolute margin of the efficiency ceiling: the least normal float, far
+# above what products that underflow can lose in one level map.
+TINY = 2.0**-1022
 
 
 class OptimizationQuery(
@@ -90,6 +106,7 @@ class OptimizationQuery(
     """
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -186,13 +203,33 @@ def _dcr_floor(d: np.ndarray, n_max: int, steps: int) -> np.ndarray:
     # config (the vote tail falls with k and rises with n), so
     #     d' >= d**N * (1 + N * (1 - d)),
     # with equality at n = k = N when q_pos == d (eta = 0 or Q_err = 0).  The
-    # floor is shrunk by FLOOR_SLACK so that rounding, in it or in the level
+    # floor is shrunk by SLACK so that rounding, in it or in the level
     # map, cannot lift it above a dark count it equals mathematically.  The
     # bound is monotone increasing in d, hence safe to iterate.
     f = d
     for _ in range(steps):
-        f = f**n_max * (1.0 + n_max * (1.0 - f)) * (1.0 - FLOOR_SLACK)
+        f = f**n_max * (1.0 + n_max * (1.0 - f)) * (1.0 - SLACK)
     return f
+
+
+def _screen(probs: tuple, params: ComponentParams, n: int) -> list:
+    """``(ceiling, dcr)`` arrays for each threshold k = 1..n of a batch of states.
+
+    ``probs`` is the states' :func:`~espd.dynamics.firing_probs` tuple.
+    ``dcr`` is the next-level dark count, the same bits as the kernel's;
+    ``ceiling`` is :func:`~espd.dynamics.de_ceiling` raised by SLACK and
+    TINY, so no rounding lifts the kernel's efficiency above it.  A state
+    can meet the targets at (n, k) only if ``ceiling >= de_target`` and
+    ``dcr <= dcr_target``.
+    """
+    p_pos, q_pos, p_sig, q_sig = probs
+    ks = range(1, n + 1)
+    dcrs, vacuum = vacuum_figures(q_pos, q_sig, n, ks)[2:]
+    # the auxiliaries fire with at most max(p_pos, q_pos), which is p_pos
+    # exactly when P_act >= Q_err (rounding is monotone)
+    vacuum = None if params.P_act >= params.Q_err else vacuum
+    ceilings = de_ceiling(p_pos, p_sig, q_sig, params.p, n, ks, vacuum)
+    return [(c * (1.0 + SLACK) + TINY, d) for c, d in zip(ceilings, dcrs)]
 
 
 def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchResult:
@@ -210,7 +247,10 @@ def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchRe
     cost, and once `top` feasible rows are known the kernel at n gets only
     the prefix of parents with ``cost * (n + 1) <= threshold``, the `top`-th
     least feasible cost so far.  The threshold is updated after every n, so
-    the larger n of a level already see the rows its smaller n found.
+    the larger n of a level already see the rows its smaller n found.  At
+    the last level the screen sees the parents the gate passes, and the
+    kernel gets those of them that can meet both targets at some threshold
+    (see the module docstring).
     """
     if top is not None:
         check_int("top", top, 1)
@@ -236,10 +276,13 @@ def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchRe
             # cheapest parents first, so the gate passes a prefix
             order = np.argsort(rows[1], kind="stable")
             rows = tuple(col[order] for col in rows)
+        if not remaining:
+            probs = firing_probs(rows[2], rows[3], params.P_act, params.Q_err)
         frontier: list[tuple[np.ndarray, ...]] = []  # the rows each config passes on
         config = 0  # a config's code is its 1-based index in configs
         for n in range(1, query.n_max + 1):
             parents = rows
+            cut = len(rows[1])
             if threshold is not None:
                 # the gate: a child dearer than the threshold ranks after `top` rows found
                 cut = int(np.searchsorted(rows[1], threshold // (n + 1), side="right"))
@@ -249,14 +292,31 @@ def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchRe
                 # one frontier per eta array object
                 if cut < len(rows[1]):
                     parents = tuple(col[:cut] for col in rows)
+            ks = range(1, n + 1)
+            if not remaining:
+                # the screen: the kernel gets only the thresholds some parent
+                # may meet both targets at, and only those parents
+                passes = [
+                    (c >= query.de_target) & (d <= query.dcr_target)
+                    for c, d in _screen(tuple(x[:cut] for x in probs), params, n)
+                ]
+                ks = [k for k in ks if passes[k - 1].any()]
+                sel = np.logical_or.reduce(passes)
+                if not sel.all():
+                    parents = tuple(col[sel] for col in parents)
             codes, costs, eta, dcr = parents
-            # every threshold of one n in one kernel call, in (n, k) order
-            figures = _kernels.level_map_batch(
-                eta, dcr, params.p, params.P_act, params.Q_err, n, range(1, n + 1)
-            )
+            # the thresholds of one n that are left, in one kernel call, in k order
+            figures = dict(zip(ks, _kernels.level_map_batch(
+                eta, dcr, params.p, params.P_act, params.Q_err, n, ks
+            ))) if ks else {}
             shifted, cost2 = codes << np.uint64(8), costs * (n + 1)
-            for e2, d2 in figures:
+            for k in range(1, n + 1):
                 config += 1
+                if k not in figures:
+                    # screened out: an empty set keeps one per config for `ranked`
+                    found.append(tuple(col[:0] for col in parents))
+                    continue
+                e2, d2 = figures[k]
                 children = (shifted | np.uint64(config), cost2, e2, d2)
                 feas = (e2 >= query.de_target) & (d2 <= query.dcr_target)
                 found.append(tuple(col[feas] for col in children))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .dynamics import DetectorPerformance, check_number, check_prob
+from .dynamics import DetectorPerformance, check_number, check_prob, checked_make
 
 __all__ = ["QkdScenario", "gamma_exact", "gamma_approx"]
 
@@ -26,6 +26,7 @@ class QkdScenario(namedtuple("QkdScenario", "e_th e_c e", defaults=(None,))):
     """
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

@@ -7,6 +7,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from espd import (
     ComponentParams,
@@ -17,14 +19,16 @@ from espd import (
     RankedSchedule,
     Schedule,
     SearchResult,
+    firing_probs,
     iterate_schedule,
     pareto_front,
     resource_cost,
     search_schedules,
 )
-from espd import _kernels
+from espd import _kernels, optimize
+from espd.dynamics import level_figures
 from espd.golden import schedule_label
-from espd.optimize import MAX_SEARCH_N, _dcr_floor
+from espd.optimize import MAX_SEARCH_N, _dcr_floor, _screen
 
 BASELINE = ComponentParams(p=0.98, P_act=0.97, Q_err=0.002)
 SEED = DetectorPerformance(0.59, 1e-2)
@@ -323,6 +327,108 @@ class TestDcrFloor:
                             e1, d1, params.p, params.P_act, params.Q_err, n2, (k2,)
                         )
                         assert np.all(floor <= d2), (params, eta, n1, k1, n2, k2)
+
+
+class TestScreen:
+    """The last level's screen never keeps a feasible (row, n, k) from the kernel."""
+
+    # P_act > Q_err, P_act < Q_err (so q_pos > p_pos wherever eta > 0 and
+    # d < 1), and P_act == Q_err (p_pos == q_pos, where the ceiling is tight)
+    PARAMS = (
+        BASELINE,
+        ComponentParams(0.5, 0.3, 0.9),
+        ComponentParams(0.9, 0.002, 0.97),
+        ComponentParams(0.95, 0.6, 0.6),
+    )
+
+    @staticmethod
+    def _states(seed):
+        # eta in {0, 1} x d in {0, 1e-30, 1}, then random states, a third of
+        # them at eta = 0, where de' equals dcr' up to rounding
+        rng = np.random.default_rng(seed)
+        eta = np.concatenate([[0.0, 0.0, 0.0, 1.0, 1.0, 1.0], rng.uniform(0, 1, 600)])
+        eta[6::3] = 0.0
+        d = np.concatenate([[0.0, 1e-30, 1.0] * 2, 10.0 ** rng.uniform(-30, 0, 600)])
+        return eta, d
+
+    @pytest.mark.parametrize("n_max", [8, 12])
+    def test_ceiling_and_dcr_bound_every_config(self, n_max):
+        # dcr' is the kernel's own value and the ceiling is above its de', so
+        # every (row, n, k) that meets any pair of targets passes the screen
+        eta, d = self._states(n_max)
+        for params in self.PARAMS:
+            probs = firing_probs(eta, d, params.P_act, params.Q_err)
+            for n in range(1, n_max + 1):
+                figures = _kernels.level_map_batch(
+                    eta, d, params.p, params.P_act, params.Q_err, n, range(1, n + 1)
+                )
+                for k, ((ceiling, dcr), (e2, d2)) in enumerate(
+                    zip(_screen(probs, params, n), figures), 1
+                ):
+                    assert np.array_equal(dcr, d2), (params, n, k)
+                    assert np.all(ceiling >= e2), (params, n, k)
+
+    @pytest.mark.parametrize(
+        "params,seed,targets",
+        [
+            (BASELINE, SEED, (0.93, 1e-9)),
+            (BASELINE, SEED, (0.7, 2e-2)),
+            (BASELINE, NOISY, (0.3, 0.1)),
+            # P_act < Q_err, with a few hundred feasible rows each
+            (ComponentParams(0.9, 0.3, 0.5), DetectorPerformance(0.9, 1e-3), (0.55, 0.74)),
+            (ComponentParams(0.7, 0.05, 0.3), DetectorPerformance(0.9, 1e-3), (2e-3, 1e-2)),
+        ],
+    )
+    def test_search_equals_unscreened_search(self, monkeypatch, params, seed, targets):
+        query = OptimizationQuery(seed, params, *targets, max_levels=3, n_max=6)
+        screened = search_schedules(query, top=None)
+
+        def passes_all(probs, params, n):
+            return [(np.full_like(probs[0], np.inf), np.full_like(probs[0], -np.inf))] * n
+
+        monkeypatch.setattr(optimize, "_screen", passes_all)
+        full = search_schedules(query, top=None)
+        for column in ("codes", "costs", "eta", "dcr"):
+            assert np.array_equal(getattr(screened, column), getattr(full, column)), column
+
+    @pytest.mark.parametrize(
+        "n_max,top,expected", [(8, None, 419_000), (12, 50, 107_004)],
+        ids=["search-all", "search-top"],
+    )
+    def test_kernel_work_on_benchmark_queries(self, monkeypatch, n_max, top, expected):
+        # state-thresholds sent to the kernel: 1,632,240 and 114,358 without
+        # the screen; a looser screen sends more
+        query = OptimizationQuery(SEED, BASELINE, 0.93, 1e-9, max_levels=4, n_max=n_max)
+        kernel = _kernels.level_map_batch
+        work = []
+
+        def spy(eta, d, p, P, Q, n, ks):
+            work.append(len(eta) * len(ks))
+            return kernel(eta, d, p, P, Q, n, ks)
+
+        monkeypatch.setattr(_kernels, "level_map_batch", spy)
+        search_schedules(query, top=top)
+        assert sum(work) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_any_thresholds_in_any_order_are_the_all_thresholds_bits(self, data):
+        # the screen hands the kernel a subset of each n's thresholds
+        n = data.draw(st.integers(min_value=1, max_value=MAX_SEARCH_N))
+        ks = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
+        probs = st.floats(min_value=0.0, max_value=1.0)
+        edge = st.sampled_from([0.0, 1e-30, 1.0]) | probs
+        params = ComponentParams(data.draw(probs), data.draw(edge), data.draw(edge))
+        etas = data.draw(st.lists(edge, min_size=1, max_size=6))
+        ds = [data.draw(edge) for _ in etas]
+        states = [(eta, d) for eta, d in zip(etas, ds)] + [(np.array(etas), np.array(ds))]
+        for eta, d in states:
+            fp = firing_probs(eta, d, params.P_act, params.Q_err)
+            every = level_figures(*fp, params.p, n, range(1, n + 1))
+            for k, (de, dcr) in zip(ks, level_figures(*fp, params.p, n, ks)):
+                assert type(de) is type(every[k - 1][0])
+                assert np.array_equal(de, every[k - 1][0]), (n, k)
+                assert np.array_equal(dcr, every[k - 1][1]), (n, k)
 
 
 # the search's config table at MAX_SEARCH_N: code byte c names CONFIGS[c - 1]

@@ -152,6 +152,37 @@ def test_checks_keep_their_messages_and_run_on_unpickling(cls, check, values, me
         pickle.loads(forged)
 
 
+@pytest.mark.parametrize(
+    "cls,fields,values,text", RECORDS, ids=[record[0].__name__ for record in RECORDS]
+)
+def test_make_and_replace_build_like_the_constructor(cls, fields, values, text):
+    record = cls(*values)
+    made = cls._make(values)
+    assert type(made) is cls and made == record
+    replaced = record._replace(**{fields.split()[0]: values[0]})
+    assert type(replaced) is cls and replaced == record
+    with pytest.raises(TypeError):
+        cls._make(values[:-1])
+
+
+# one valid record of each checked class
+GOOD = {cls: cls(*values) for cls, _, values, _ in RECORDS}
+
+
+@pytest.mark.parametrize(
+    "cls,check,values,message", BAD, ids=[f"{bad[0].__name__}-{bad[1]}" for bad in BAD]
+)
+def test_make_and_replace_run_the_checks(cls, check, values, message):
+    # namedtuple's own _make, which _replace calls, skips __new__
+    exact = f"^{re.escape(message)}$"
+    defaults = cls._field_defaults
+    values = (*values, *(defaults[name] for name in cls._fields[len(values):]))
+    with pytest.raises(ValueError, match=exact):
+        cls._make(values)
+    with pytest.raises(ValueError, match=exact):
+        GOOD[cls]._replace(**dict(zip(cls._fields, values)))
+
+
 def test_defaults():
     assert ConvergenceRule() == ConvergenceRule(32, 1e-12, 1e-12)
     assert QkdScenario(0.11, 0.02).e is None

@@ -3,8 +3,9 @@
 ``perfbench/tracer.py`` patches every ``(module, attribute)`` it lists, so
 deleting or renaming one of them in ``src/espd`` breaks ``--trace 1`` runs.
 Its per-level search metrics count one frontier per run of consecutive
-``level_map_batch`` calls on one state array.  These tests load the tracer
-from its file and fail first.
+``level_map_batch`` calls on one state array; the last level's calls each
+get the parents its screen passes, a new array per n.  These tests load the
+tracer from its file and fail first.
 """
 
 import importlib
@@ -37,7 +38,10 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
-def test_search_metrics_count_one_kernel_call_per_n():
+def test_search_metrics_count_one_kernel_call_per_n(monkeypatch):
+    # Inner levels: one kernel call per n per level, on the level's whole
+    # frontier.  Last level: at most one call per n, on the parents the
+    # screen passes, which are at most the frontier (counted at the screen).
     tracer_mod = _load_tracer()
     optimize = importlib.import_module("espd.optimize")
     n_max, max_levels = 4, 3
@@ -45,6 +49,7 @@ def test_search_metrics_count_one_kernel_call_per_n():
         DetectorPerformance(0.59, 1e-2), ComponentParams(0.98, 0.97, 0.002),
         0.93, 1e-3, max_levels=max_levels, n_max=n_max,
     )
+    last_frontier = _count_screened(monkeypatch, optimize)
     tracer = tracer_mod.Tracer()
     tracer.install()
     try:
@@ -53,38 +58,59 @@ def test_search_metrics_count_one_kernel_call_per_n():
         tracer.uninstall()
     assert results
     m = tracer_mod.layer_metrics(tracer.dump(), max_levels)
-    frontiers = [m[f"optimize.frontier_L{level}"] for level in range(1, max_levels + 1)]
+    inner = [m[f"optimize.frontier_L{level}"] for level in range(1, max_levels)]
     assert m["optimize.frontier_L1"] == 1
-    assert all(f > 0 for f in frontiers)  # every level is expanded
-    assert m["kernels.level_map_batch.calls"] == n_max * max_levels
-    assert m["optimize.states_expanded"] == n_max * sum(frontiers)
+    assert all(f > 0 for f in inner)  # every inner level is expanded
+    assert last_frontier == [last_frontier[0]] * n_max and last_frontier[0] > 0
+    calls = m["kernels.level_map_batch.calls"]
+    assert n_max * (max_levels - 1) < calls <= n_max * max_levels
+    last_states = m["optimize.states_expanded"] - n_max * sum(inner)
+    assert 0 < last_states <= n_max * last_frontier[0]
+
+
+def _count_screened(monkeypatch, optimize):
+    # the parents the last level's screen sees, one count per n: with no
+    # `top` gate, each is the whole last-level frontier
+    counts = []
+    screen = optimize._screen
+
+    def counted(probs, params, n):
+        counts.append(len(probs[0]))
+        return screen(probs, params, n)
+
+    monkeypatch.setattr(optimize, "_screen", counted)
+    return counts
 
 
 # The benchmark's two search queries (variant 0), as (n_max, top), and the
 # per-layer counts its tracer reads for them.  search-top's frontiers are
 # left out: the gate hands the kernel calls of one level different parent
-# prefixes, which the tracer counts as different frontiers.
+# prefixes, which the tracer counts as different frontiers.  So are the
+# last level's: each n's call gets the parents its screen passes, so the
+# tracer's frontier_L4 is the first such subset.  search-all's true level-4
+# frontier is counted at the screen instead.
 @pytest.mark.parametrize(
-    "n_max,top,expected",
+    "n_max,top,expected,last_frontier",
     [
         (8, None, {
             "optimize.frontier_L1": 1, "optimize.frontier_L2": 36,
-            "optimize.frontier_L3": 1_295, "optimize.frontier_L4": 44_008,
-            "kernels.level_map_batch.calls": 32, "kernels.level_map_batch.states": 362_720,
-        }),
+            "optimize.frontier_L3": 1_295,
+            "kernels.level_map_batch.calls": 29, "kernels.level_map_batch.states": 117_923,
+        }, [44_008] * 8),
         (12, 50, {
-            "kernels.level_map_batch.calls": 48, "kernels.level_map_batch.states": 37_304,
-        }),
+            "kernels.level_map_batch.calls": 45, "kernels.level_map_batch.states": 32_760,
+        }, None),
     ],
     ids=["search-all", "search-top"],
 )
-def test_benchmark_search_layer_counts(n_max, top, expected):
+def test_benchmark_search_layer_counts(monkeypatch, n_max, top, expected, last_frontier):
     tracer_mod = _load_tracer()
     optimize = importlib.import_module("espd.optimize")
     query = OptimizationQuery(
         DetectorPerformance(0.59, 1e-2), ComponentParams(0.98, 0.97, 0.002),
         0.93, 1e-9, max_levels=4, n_max=n_max,
     )
+    screened = _count_screened(monkeypatch, optimize)
     tracer = tracer_mod.Tracer()
     tracer.install()
     try:
@@ -93,6 +119,8 @@ def test_benchmark_search_layer_counts(n_max, top, expected):
         tracer.uninstall()
     m = tracer_mod.layer_metrics(tracer.dump(), query.max_levels)
     assert {name: m[name] for name in expected} == expected
+    if last_frontier is not None:
+        assert screened == last_frontier
 
 
 def test_cli_search_is_traced_under_its_name(tmp_path):
