@@ -10,6 +10,11 @@ Conventions: CSV output is comma-separated with a header row, LF line
 endings, and floats at 17 significant digits; files are written to a
 temporary name and atomically renamed, so a failed run never leaves a
 partial file, and get the permissions of a plain write (the umask's).
+Lines are streamed to the temporary file ``WRITE_LINES`` at a time, and
+``optimize`` formats its rows one chunk of the ranking at a time, so a
+listing's text is never held whole; a failure while rows are still being
+made removes the temporary file and leaves any earlier file at the path
+as it was.
 Exit codes: 0 success, 1 compute or tolerance failure,
 2 usage or validation failure.  When ``--out``/``--out-dir`` is omitted,
 relative defaults resolve against ``$ESPD_OUT_DIR`` (falling back to the
@@ -44,6 +49,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable
+from itertools import chain, islice
 from pathlib import Path
 
 from .dynamics import (
@@ -61,6 +68,8 @@ from .dynamics import (
 __all__ = ["main"]
 
 _BASELINE = {"eta0": 0.59, "d0": 1e-2, "p": 0.98, "P": 0.97, "Q": 0.002}
+# CSV lines per write, and schedule rows formatted at a time
+WRITE_LINES = 4096
 
 
 def _fmt(x: float) -> str:
@@ -79,8 +88,12 @@ def _resolve_out(arg: str | None, default_name: str) -> Path:
     return Path(arg)
 
 
-def _atomic_write(path: Path, lines: list[str]) -> None:
-    """Write ``lines`` (header first) as the CSV file ``path``, each LF-terminated."""
+def _atomic_write(path: Path, lines: Iterable[str]) -> None:
+    """Write ``lines`` (header first) as the CSV file ``path``, each LF-terminated.
+
+    The lines are joined and written ``WRITE_LINES`` at a time, so a
+    generator's lines are never all held at once.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     # a new file at mode 0o666 less the umask, as open(path, "w") would make it
     tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
@@ -88,7 +101,9 @@ def _atomic_write(path: Path, lines: list[str]) -> None:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write("\n".join(lines) + "\n")
+                lines = iter(lines)
+                while batch := list(islice(lines, WRITE_LINES)):
+                    handle.write("\n".join(batch) + "\n")
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -97,6 +112,8 @@ def _atomic_write(path: Path, lines: list[str]) -> None:
                 pass
             raise
     except OSError as exc:
+        if exc.errno is None:
+            raise  # not the OS's: raised by the source of the lines
         # the OS reason, named by the user's path: the temporary file is gone
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
@@ -246,6 +263,14 @@ def cmd_tables(args) -> int:
     return 0 if report.all_ok else 1
 
 
+def _schedule_rows(results) -> Iterable[str]:
+    # the CSV rows of a SearchResult, formatted WRITE_LINES at a time
+    for lo in range(0, len(results), WRITE_LINES):
+        chunk = results[lo:lo + WRITE_LINES]
+        columns = (chunk.costs.tolist(), chunk.eta.tolist(), chunk.dcr.tolist())
+        yield from map("{},{},{:.17g},{:.17g}".format, chunk.labels(), *columns)
+
+
 def cmd_optimize(args) -> int:
     from . import optimize  # loads numpy, which the other commands never need
 
@@ -265,9 +290,7 @@ def cmd_optimize(args) -> int:
     results = optimize.search_schedules(query, top=top)
     if args.pareto:
         results = optimize.pareto_front(results)
-    columns = (results.costs.tolist(), results.eta.tolist(), results.dcr.tolist())
-    rows = map("{},{},{:.17g},{:.17g}".format, results.labels(), *columns)
-    _atomic_write(out_path, ["schedule,cost,de,dcr", *rows])
+    _atomic_write(out_path, chain(["schedule,cost,de,dcr"], _schedule_rows(results)))
     if not results:
         print("no feasible schedule")
     print(f"wrote {out_path} ({len(results)} schedules)")

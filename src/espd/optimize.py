@@ -5,9 +5,10 @@ per-level configs {(n, k): 1 <= k <= n <= n_max}, breadth-first with the
 batch level-map kernel, and returns the schedules meeting the efficiency /
 dark-count targets ranked by detection cost.  Cost is the total number of
 base detections, the product of (n_l + 1) over the levels.  Each level
-expands the frontier with at most one kernel call per n, which evaluates
-the thresholds k of that n in one pass: every threshold at the inner
-levels, the screened ones at the last.
+expands the frontier n by n, over consecutive blocks of at most
+``BLOCK_ROWS`` parents, with at most one kernel call per block, which
+evaluates the thresholds k of that n in one pass: every threshold at the
+inner levels, the ones the block's screen passes at the last.
 
 Three prunes keep the tree manageable without touching exactness:
 
@@ -28,12 +29,20 @@ Three prunes keep the tree manageable without touching exactness:
   map, :func:`espd.dynamics.vacuum_figures`) and a sound ceiling on its
   efficiency (:func:`espd.dynamics.de_ceiling`, raised by a rounding
   margin).  The kernel then gets only the parents that meet both targets
-  at some threshold, and only the thresholds some parent meets them at,
-  so each row's tables are still built once for all of its thresholds.
+  at some threshold, and only the thresholds some parent of the same
+  block meets them at, so each row's tables are still built once for all
+  of its thresholds.
 
 Each config's rows are filtered as they leave the kernel: its feasible rows
 join the results, and only its rows above the dark-count floor join the
-next frontier.  No level holds a copy of every unfiltered row.
+next frontier.  No level holds a copy of every unfiltered row, and no
+screen or kernel call builds tables for more than one block: a level's
+working memory beyond its frontier and its filtered rows is set by
+``BLOCK_ROWS``, not by the frontier.  A level's frontier parts are freed
+once joined into the next level's parents, and the feasible rows, with
+the last level's parents, once joined for the ranking.  The level map is
+elementwise, so the values do not depend on the blocks, and the `top`
+threshold is taken from every block of an n, so neither does the gate.
 
 The batch kernel runs the scalar level map's own code on arrays, so the
 final performance recorded for every returned schedule is bit-identical to
@@ -88,6 +97,13 @@ SLACK = 1e-12
 # Absolute margin of the efficiency ceiling: the least normal float, far
 # above what products that underflow can lose in one level map.
 TINY = 2.0**-1022
+# Parent rows per screen and kernel call: each (level, n) runs over
+# consecutive blocks of at most this many of its parents.  Swept from 4,096
+# to 32,768 on `optimize --n-max 8 --top 0`: peak RSS 36.7, 37.0, 40.7 and
+# 47.3 MB (56.2 MB unblocked), with in-process search times within the
+# noise (2-core container, numpy 2.4.6).  4,096 would split the 6,074-row
+# inner level of `--n-max 12 --top 50` into two calls.
+BLOCK_ROWS = 8192
 
 
 class OptimizationQuery(
@@ -250,90 +266,20 @@ def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchRe
     the larger n of a level already see the rows its smaller n found.  At
     the last level the screen sees the parents the gate passes, and the
     kernel gets those of them that can meet both targets at some threshold
-    (see the module docstring).
+    (see the module docstring).  Every screen and kernel call runs on one
+    block of at most ``BLOCK_ROWS`` parents; the result does not depend on
+    the block size.
     """
     if top is not None:
         check_int("top", top, 1)
-    params = query.params
     configs = tuple(
         LevelConfig(n, k) for n in range(1, query.n_max + 1) for k in range(1, n + 1)
     )
-
-    # every row set is (codes, costs, eta, dcr), SearchResult's column order
-    rows = (
-        np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.int64),
-        np.array([query.init.eta], dtype=np.float64),
-        np.array([query.init.dcr], dtype=np.float64),
+    # no name holds the row sets: they, and the last level's parents, are
+    # freed once joined, before the ranking copies the joined columns
+    result = SearchResult(
+        query.params, configs, *map(np.concatenate, zip(*_feasible_rows(query, top)))
     )
-    found: list[tuple[np.ndarray, ...]] = []  # feasible rows, one set per config per level
-    # the least `top` feasible costs found so far (all of them while fewer);
-    # once there are `top`, the greatest is the cost gate's threshold
-    ranked = np.zeros(0, dtype=np.int64)
-    threshold = None
-
-    for remaining in reversed(range(query.max_levels)):  # levels still to come
-        if top is not None:
-            # cheapest parents first, so the gate passes a prefix
-            order = np.argsort(rows[1], kind="stable")
-            rows = tuple(col[order] for col in rows)
-        if not remaining:
-            probs = firing_probs(rows[2], rows[3], params.P_act, params.Q_err)
-        frontier: list[tuple[np.ndarray, ...]] = []  # the rows each config passes on
-        config = 0  # a config's code is its 1-based index in configs
-        for n in range(1, query.n_max + 1):
-            parents = rows
-            cut = len(rows[1])
-            if threshold is not None:
-                # the gate: a child dearer than the threshold ranks after `top` rows found
-                cut = int(np.searchsorted(rows[1], threshold // (n + 1), side="right"))
-                if cut == 0:
-                    break  # the cut only falls as n grows
-                # a full pass keeps the same arrays: perfbench/tracer.py counts
-                # one frontier per eta array object
-                if cut < len(rows[1]):
-                    parents = tuple(col[:cut] for col in rows)
-            ks = range(1, n + 1)
-            if not remaining:
-                # the screen: the kernel gets only the thresholds some parent
-                # may meet both targets at, and only those parents
-                passes = [
-                    (c >= query.de_target) & (d <= query.dcr_target)
-                    for c, d in _screen(tuple(x[:cut] for x in probs), params, n)
-                ]
-                ks = [k for k in ks if passes[k - 1].any()]
-                sel = np.logical_or.reduce(passes)
-                if not sel.all():
-                    parents = tuple(col[sel] for col in parents)
-            codes, costs, eta, dcr = parents
-            # the thresholds of one n that are left, in one kernel call, in k order
-            figures = dict(zip(ks, _kernels.level_map_batch(
-                eta, dcr, params.p, params.P_act, params.Q_err, n, ks
-            ))) if ks else {}
-            shifted, cost2 = codes << np.uint64(8), costs * (n + 1)
-            for k in range(1, n + 1):
-                config += 1
-                if k not in figures:
-                    # screened out: an empty set keeps one per config for `ranked`
-                    found.append(tuple(col[:0] for col in parents))
-                    continue
-                e2, d2 = figures[k]
-                children = (shifted | np.uint64(config), cost2, e2, d2)
-                feas = (e2 >= query.de_target) & (d2 <= query.dcr_target)
-                found.append(tuple(col[feas] for col in children))
-                if remaining:
-                    keep = _dcr_floor(d2, query.n_max, remaining) <= query.dcr_target
-                    frontier.append(tuple(col[keep] for col in children))
-            if top is not None:
-                ranked = np.concatenate([ranked, *(f[1] for f in found[-n:])])
-                if len(ranked) >= top:
-                    ranked = np.partition(ranked, top - 1)[:top]
-                    threshold = int(ranked[-1])
-
-        if not remaining or not any(len(f[0]) for f in frontier):
-            break  # no level follows, or no row passes on to it
-        rows = tuple(map(np.concatenate, zip(*frontier)))
-
-    result = SearchResult(params, configs, *map(np.concatenate, zip(*found)))
     # Rank by cost, dcr, -eta, then the code, which sorts by length, then
     # encoding: a longer code is larger, its top byte being an index >= 1,
     # and within one length the code sorts like the encoding, since configs
@@ -342,6 +288,91 @@ def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchRe
     if top is not None:
         order = order[:top]
     return result._take(order)
+
+
+def _feasible_rows(query: OptimizationQuery, top: int | None) -> list[tuple[np.ndarray, ...]]:
+    # The search itself (see search_schedules): every feasible row it finds,
+    # unranked, as row sets.  Config (n, k)'s code byte is its 1-based index
+    # in the (n, k)-ordered config table.
+    params = query.params
+    # every row set is (codes, costs, eta, dcr), SearchResult's column order
+    rows = (
+        np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.int64),
+        np.array([query.init.eta], dtype=np.float64),
+        np.array([query.init.dcr], dtype=np.float64),
+    )
+    # feasible rows, one set per block and threshold, after an empty set
+    # that gives an empty listing its columns
+    found = [tuple(col[:0] for col in rows)]
+    # the least `top` feasible costs found so far (all of them while fewer);
+    # once there are `top`, the greatest is the cost gate's threshold
+    ranked = np.zeros(0, dtype=np.int64)
+    threshold = None
+
+    for remaining in reversed(range(query.max_levels)):  # levels still to come
+        # the rows each config passes on, reset first: the previous level's
+        # parts, joined into `rows`, are freed before this level's work
+        frontier: list[tuple[np.ndarray, ...]] = []
+        if top is not None:
+            # cheapest parents first, so the gate passes a prefix
+            order = np.argsort(rows[1], kind="stable")
+            rows = tuple(col[order] for col in rows)
+        config = 0  # configs before this n's: config (n, k) has code config + k
+        for n in range(1, query.n_max + 1):
+            cut = len(rows[1])
+            if threshold is not None:
+                # the gate: a child dearer than the threshold ranks after `top` rows found
+                cut = int(np.searchsorted(rows[1], threshold // (n + 1), side="right"))
+                if cut == 0:
+                    break  # the cut only falls as n grows
+            found_before = len(found)
+            for lo in range(0, cut, BLOCK_ROWS):
+                hi = min(lo + BLOCK_ROWS, cut)
+                # a block of every row keeps the same arrays: perfbench/tracer.py
+                # counts one frontier per eta array object
+                parents = rows
+                if hi - lo < len(rows[1]):
+                    parents = tuple(col[lo:hi] for col in rows)
+                ks = range(1, n + 1)
+                if not remaining:
+                    # the screen: the kernel gets only the thresholds some parent
+                    # of the block may meet both targets at, and only those parents
+                    probs = firing_probs(parents[2], parents[3], params.P_act, params.Q_err)
+                    passes = [
+                        (c >= query.de_target) & (d <= query.dcr_target)
+                        for c, d in _screen(probs, params, n)
+                    ]
+                    ks = [k for k in ks if passes[k - 1].any()]
+                    if not ks:
+                        continue
+                    sel = np.logical_or.reduce(passes)
+                    if not sel.all():
+                        parents = tuple(col[sel] for col in parents)
+                codes, costs, eta, dcr = parents
+                # the block's thresholds of one n, in one kernel call, in k order
+                figures = _kernels.level_map_batch(
+                    eta, dcr, params.p, params.P_act, params.Q_err, n, ks
+                )
+                shifted, cost2 = codes << np.uint64(8), costs * (n + 1)
+                for k, (e2, d2) in zip(ks, figures):
+                    children = (shifted | np.uint64(config + k), cost2, e2, d2)
+                    feas = (e2 >= query.de_target) & (d2 <= query.dcr_target)
+                    found.append(tuple(col[feas] for col in children))
+                    if remaining:
+                        keep = _dcr_floor(d2, query.n_max, remaining) <= query.dcr_target
+                        frontier.append(tuple(col[keep] for col in children))
+            config += n
+            if top is not None:
+                # every block of this n, so the threshold is the same at any block size
+                ranked = np.concatenate([ranked, *(f[1] for f in found[found_before:])])
+                if len(ranked) >= top:
+                    ranked = np.partition(ranked, top - 1)[:top]
+                    threshold = int(ranked[-1])
+
+        if not remaining or not any(len(f[0]) for f in frontier):
+            break  # no level follows, or no row passes on to it
+        rows = tuple(map(np.concatenate, zip(*frontier)))
+    return found
 
 
 def pareto_front(results: SearchResult) -> SearchResult:

@@ -3,15 +3,18 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import stat
+import tracemalloc
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from espd import cli
 from espd.cli import main
 
 
@@ -270,7 +273,7 @@ class TestOptimize:
         )
         assert code == 0
         assert "no feasible schedule" in capsys.readouterr().out
-        assert out.read_text().splitlines() == ["schedule,cost,de,dcr"]
+        assert out.read_bytes() == b"schedule,cost,de,dcr\n"
 
     def test_top_one(self, tmp_path):
         out = tmp_path / "opt.csv"
@@ -340,6 +343,64 @@ class TestOptimize:
              *extra, "--out", str(out)]
         ) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("write_lines", [1, 7])
+    def test_csv_bytes_do_not_depend_on_write_batch(self, tmp_path, monkeypatch, write_lines):
+        # rows formatted and written a few at a time: the first pinned digest
+        monkeypatch.setattr(cli, "WRITE_LINES", write_lines)
+        out = tmp_path / "s.csv"
+        assert main(
+            ["optimize", "--de-target", "0.93", "--dcr-target", "1e-9", "--top", "0",
+             "--max-levels", "3", "--n-max", "6", "--out", str(out)]
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "27880e1c92ccc8de9836773786994a01c0fc961d26160bf81d5af9abef7b030f"
+        )
+
+    def test_full_listing_memory(self, tmp_path):
+        # cli.main's tracemalloc peak on the full listing at --n-max 8 (37,546
+        # rows): 25.6 MiB with the last level's tables built for its whole
+        # frontier and every CSV row held at once, 13.8 MiB with only the
+        # search run over blocks, 6.6 MiB with the rows also formatted and
+        # written a chunk at a time.
+        import espd.optimize  # noqa: F401 -- numpy's import is not the command's
+
+        out = tmp_path / "s.csv"
+        tracemalloc.start()
+        try:
+            code = main(
+                ["optimize", "--de-target", "0.93", "--dcr-target", "1e-9", "--top", "0",
+                 "--max-levels", "4", "--n-max", "8", "--out", str(out)]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(out.read_bytes().splitlines()) == 1 + 37_546
+        assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize("exc", [OSError, MemoryError])
+    def test_row_failure_midway_keeps_old_file(self, tmp_path, capsys, monkeypatch, exc):
+        # the first batch is written when the row source fails: exit 1, one
+        # error line, no temporary file left, and the old output unchanged
+        monkeypatch.setattr(cli, "WRITE_LINES", 2)
+        rows = cli._schedule_rows
+
+        def failing(results):
+            assert len(results) > 3
+            yield from itertools.islice(rows(results), 3)
+            raise exc("injected")
+
+        monkeypatch.setattr(cli, "_schedule_rows", failing)
+        out = tmp_path / "s.csv"
+        out.write_text("old\n")
+        assert main(
+            ["optimize", "--de-target", "0.9", "--dcr-target", "1e-3", "--top", "0",
+             "--max-levels", "2", "--n-max", "4", "--out", str(out)]
+        ) == 1
+        assert capsys.readouterr().err == "error: injected\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+        assert out.read_text() == "old\n"
 
     def test_top_beyond_listing_writes_full_listing(self, tmp_path):
         # --top above the 37,546-row listing: the pinned --top 0 digest

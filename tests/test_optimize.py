@@ -72,6 +72,16 @@ class TestSearchSchedules:
         query = OptimizationQuery(SEED, BASELINE, 1.01, 1e-9, max_levels=2, n_max=4)
         assert len(search_schedules(query)) == 0
 
+    @pytest.mark.parametrize("top", [1, None])
+    def test_every_row_screened_out_yields_empty_columns(self, top):
+        # one level, which is the last: the screen passes nothing to the kernel
+        query = OptimizationQuery(SEED, BASELINE, 1.01, 1e-9, max_levels=1, n_max=4)
+        result = search_schedules(query, top=top)
+        assert len(result) == 0
+        assert [col.dtype for col in (result.codes, result.costs, result.eta, result.dcr)] == [
+            np.uint64, np.int64, np.float64, np.float64
+        ]
+
     def test_all_results_meet_targets(self):
         query = OptimizationQuery(SEED, BASELINE, 0.95, 1e-4, max_levels=3, n_max=6)
         results = search_schedules(query, top=25)
@@ -149,8 +159,9 @@ class TestSearchSchedules:
             tracemalloc.stop()
         # The search's own peak: 95.5 MiB when each level was first copied whole
         # into level-wide arrays, 36.5 MiB with each config's rows filtered as
-        # the kernel returns them.
-        assert peak < 50 * 2**20
+        # the kernel returns them, 25.6 MiB with the last level screened, and
+        # 6.6 MiB with every screen and kernel call run over blocks of rows.
+        assert peak < 12 * 2**20
         assert results
         encodings = {_encode(r): r for r in results}
         target = ((8, 4),) * 4
@@ -159,6 +170,38 @@ class TestSearchSchedules:
         assert r.cost == 9**4
         assert r.final.eta == pytest.approx(0.934, abs=1e-3)
         assert r.final.dcr == pytest.approx(8.5e-10, rel=0.10)
+
+    def test_full_listing_memory_at_n_max_10(self):
+        # The search's own peak on a 118,137-row listing from 160,175
+        # last-level parents: 115.5 MiB with the last level's tables built for
+        # its whole frontier; 20.9 MiB with the calls run over blocks but the
+        # last level's firing probabilities computed for all its parents
+        # while the previous level's frontier parts were still held; 14.2 MiB
+        # with the probabilities per block and the parts freed first.
+        query = OptimizationQuery(SEED, BASELINE, 0.93, 1e-9, max_levels=4, n_max=10)
+        tracemalloc.start()
+        try:
+            results = search_schedules(query, top=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 118_137
+        assert peak < 18 * 2**20
+
+    def test_listing_of_every_schedule_memory(self):
+        # Vacuous targets list all 111,110 schedules of up to 5 levels at
+        # n_max 4.  The search's own peak: 11.1 MiB with the feasible row sets
+        # held while their joined rows are ranked, 7.6 MiB with them freed
+        # once joined.
+        query = OptimizationQuery(SEED, BASELINE, 0.0, 1.0, max_levels=5, n_max=4)
+        tracemalloc.start()
+        try:
+            results = search_schedules(query, top=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 111_110
+        assert peak < 9 * 2**20
 
     def test_validation(self):
         with pytest.raises(ValueError, match="max_levels"):
@@ -392,12 +435,13 @@ class TestScreen:
             assert np.array_equal(getattr(screened, column), getattr(full, column)), column
 
     @pytest.mark.parametrize(
-        "n_max,top,expected", [(8, None, 419_000), (12, 50, 107_004)],
+        "n_max,top,expected", [(8, None, 414_698), (12, 50, 107_004)],
         ids=["search-all", "search-top"],
     )
     def test_kernel_work_on_benchmark_queries(self, monkeypatch, n_max, top, expected):
         # state-thresholds sent to the kernel: 1,632,240 and 114,358 without
-        # the screen; a looser screen sends more
+        # the screen, and 419,000 on search-all with one screen of the whole
+        # last level per n, not one per block; a looser screen sends more
         query = OptimizationQuery(SEED, BASELINE, 0.93, 1e-9, max_levels=4, n_max=n_max)
         kernel = _kernels.level_map_batch
         work = []
@@ -429,6 +473,55 @@ class TestScreen:
                 assert type(de) is type(every[k - 1][0])
                 assert np.array_equal(de, every[k - 1][0]), (n, k)
                 assert np.array_equal(dcr, every[k - 1][1]), (n, k)
+
+
+class TestBlocks:
+    """The search's rows and the parents its gate passes do not depend on BLOCK_ROWS."""
+
+    @staticmethod
+    def _run(monkeypatch, query, top, block):
+        # the result and the parent count of each kernel call at a block size
+        monkeypatch.setattr(optimize, "BLOCK_ROWS", block)
+        kernel = _kernels.level_map_batch
+        calls = []
+
+        def spy(eta, *args):
+            calls.append(len(eta))
+            return kernel(eta, *args)
+
+        monkeypatch.setattr(_kernels, "level_map_batch", spy)
+        try:
+            return search_schedules(query, top=top), calls
+        finally:
+            monkeypatch.setattr(_kernels, "level_map_batch", kernel)
+
+    @pytest.mark.parametrize("top", [1, 50, None])
+    @pytest.mark.parametrize(
+        "block,params,seed,targets,n_max,max_levels",
+        [
+            (1, BASELINE, SEED, (0.9, 1e-4), 4, 3),
+            (7, BASELINE, NOISY, (0.3, 0.1), 6, 3),
+            # P_act < Q_err
+            (7, ComponentParams(0.9, 0.3, 0.5), DetectorPerformance(0.9, 1e-3), (0.55, 0.74), 6, 3),
+            (97, ComponentParams(0.7, 0.05, 0.3), DetectorPerformance(0.9, 1e-3), (2e-3, 1e-2), 6, 3),
+            (7, BASELINE, SEED, (0.9, 1e-4), 12, 2),
+            (97, BASELINE, SEED, (0.93, 1e-9), 12, 3),
+        ],
+    )
+    def test_blocked_search_equals_unblocked(
+        self, monkeypatch, block, params, seed, targets, n_max, max_levels, top
+    ):
+        # Each block's kernel gets the rows its own screen passes, and the
+        # gate's threshold comes from every block of an n, so the kernel sees
+        # the same parents in all, only split up.
+        query = OptimizationQuery(seed, params, *targets, max_levels=max_levels, n_max=n_max)
+        whole, whole_calls = self._run(monkeypatch, query, top, 2**62)
+        got, calls = self._run(monkeypatch, query, top, block)
+        assert len(whole)
+        for column in ("codes", "costs", "eta", "dcr"):
+            assert getattr(got, column).tobytes() == getattr(whole, column).tobytes(), column
+        assert max(calls) <= block
+        assert sum(calls) == sum(whole_calls)
 
 
 # the search's config table at MAX_SEARCH_N: code byte c names CONFIGS[c - 1]

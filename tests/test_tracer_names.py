@@ -3,9 +3,10 @@
 ``perfbench/tracer.py`` patches every ``(module, attribute)`` it lists, so
 deleting or renaming one of them in ``src/espd`` breaks ``--trace 1`` runs.
 Its per-level search metrics count one frontier per run of consecutive
-``level_map_batch`` calls on one state array; the last level's calls each
-get the parents its screen passes, a new array per n.  These tests load the
-tracer from its file and fail first.
+``level_map_batch`` calls on one state array; a level of more rows than
+``optimize.BLOCK_ROWS`` is passed one block at a time, and the last level's
+calls each get the parents the screen passes in one block, a new array per
+call.  These tests load the tracer from its file and fail first.
 """
 
 import importlib
@@ -49,7 +50,7 @@ def test_search_metrics_count_one_kernel_call_per_n(monkeypatch):
         DetectorPerformance(0.59, 1e-2), ComponentParams(0.98, 0.97, 0.002),
         0.93, 1e-3, max_levels=max_levels, n_max=n_max,
     )
-    last_frontier = _count_screened(monkeypatch, optimize)
+    screened = _count_screened(monkeypatch, optimize)
     tracer = tracer_mod.Tracer()
     tracer.install()
     try:
@@ -61,6 +62,7 @@ def test_search_metrics_count_one_kernel_call_per_n(monkeypatch):
     inner = [m[f"optimize.frontier_L{level}"] for level in range(1, max_levels)]
     assert m["optimize.frontier_L1"] == 1
     assert all(f > 0 for f in inner)  # every inner level is expanded
+    last_frontier = list(screened.values())
     assert last_frontier == [last_frontier[0]] * n_max and last_frontier[0] > 0
     calls = m["kernels.level_map_batch.calls"]
     assert n_max * (max_levels - 1) < calls <= n_max * max_levels
@@ -69,13 +71,13 @@ def test_search_metrics_count_one_kernel_call_per_n(monkeypatch):
 
 
 def _count_screened(monkeypatch, optimize):
-    # the parents the last level's screen sees, one count per n: with no
-    # `top` gate, each is the whole last-level frontier
-    counts = []
+    # the parents the last level's screen sees at each n, summed over the
+    # n's blocks: with no `top` gate, each is the whole last-level frontier
+    counts = {}
     screen = optimize._screen
 
     def counted(probs, params, n):
-        counts.append(len(probs[0]))
+        counts[n] = counts.get(n, 0) + len(probs[0])
         return screen(probs, params, n)
 
     monkeypatch.setattr(optimize, "_screen", counted)
@@ -86,16 +88,17 @@ def _count_screened(monkeypatch, optimize):
 # per-layer counts its tracer reads for them.  search-top's frontiers are
 # left out: the gate hands the kernel calls of one level different parent
 # prefixes, which the tracer counts as different frontiers.  So are the
-# last level's: each n's call gets the parents its screen passes, so the
-# tracer's frontier_L4 is the first such subset.  search-all's true level-4
-# frontier is counted at the screen instead.
+# last level's: each call gets the parents the screen passes in one block,
+# so the tracer's frontier_L4 is the first such subset.  search-all's true
+# level-4 frontier is counted at the screen instead, summed over each n's
+# blocks.
 @pytest.mark.parametrize(
     "n_max,top,expected,last_frontier",
     [
         (8, None, {
             "optimize.frontier_L1": 1, "optimize.frontier_L2": 36,
             "optimize.frontier_L3": 1_295,
-            "kernels.level_map_batch.calls": 29, "kernels.level_map_batch.states": 117_923,
+            "kernels.level_map_batch.calls": 53, "kernels.level_map_batch.states": 117_923,
         }, [44_008] * 8),
         (12, 50, {
             "kernels.level_map_batch.calls": 45, "kernels.level_map_batch.states": 32_760,
@@ -120,7 +123,7 @@ def test_benchmark_search_layer_counts(monkeypatch, n_max, top, expected, last_f
     m = tracer_mod.layer_metrics(tracer.dump(), query.max_levels)
     assert {name: m[name] for name in expected} == expected
     if last_frontier is not None:
-        assert screened == last_frontier
+        assert list(screened.values()) == last_frontier
 
 
 def test_cli_search_is_traced_under_its_name(tmp_path):
