@@ -90,7 +90,7 @@ def dcr_upper_bound(d_s: float, Q: float, n: int, k: int) -> float:
             f"dcr_upper_bound requires k - 1 >= n * (Q + d_s); "
             f"got k={k}, n={n}, Q + d_s = {x!r}"
         )
-    return decision_poly(d_s, n, k, x)
+    return _decision_poly(d_s, n, k, x)  # _noise_sum has checked all four
 
 
 def dcr_estimate(d_s: float, Q: float, n: int, k: int) -> float:

@@ -21,10 +21,11 @@ entries :func:`level_map`, :func:`de_loss_case` and :func:`de_survive_case`
 all take the validated ``(det, params, config)``.
 
 The records here (and in the other modules) are named tuples, built
-positionally or by keyword, checked on construction (and by ``_make`` and
-``_replace``) where they carry checks, immutable and hashable.  Being tuples, they iterate over their
-fields, order like tuples, and compare equal to any tuple of the same
-values.
+positionally or by keyword, immutable and hashable.  Those that carry
+checks subclass :class:`Checked`, which runs a record's ``_check`` on
+construction, on unpickling, and in ``_make`` and ``_replace``.  Being
+tuples, the records iterate over their fields, order like tuples, and
+compare equal to any tuple of the same values.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ __all__ = [
     "check_number",
     "check_int",
     "check_prob",
-    "checked_make",
+    "Checked",
     "DetectorPerformance",
     "ComponentParams",
     "LevelConfig",
@@ -124,33 +125,37 @@ def check_prob(name: str, value) -> float:
     return value
 
 
-def checked_make(cls, iterable):
-    """A checked record's ``_make``, which ``_replace`` also calls.
+class Checked:
+    """Base of the checked records, which subclass it before their named tuple.
 
-    namedtuple's own ``_make`` builds the tuple without the record's
-    ``__new__``, and so without its checks; this one builds it through
-    ``__new__``, after the same length check.
+    ``__new__`` builds the record, then runs its ``_check``; unpickling and
+    ``_make`` (which ``_replace`` calls) build it through ``__new__`` too.
     """
-    values = tuple(iterable)
-    if len(values) != len(cls._fields):
-        raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(values)}")
-    return cls(*values)
-
-
-class DetectorPerformance(namedtuple("DetectorPerformance", "eta dcr")):
-    """A detector stage's efficiency/dark-count pair (both probabilities)."""
 
     __slots__ = ()
-    _make = classmethod(checked_make)
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        check_prob("eta", self.eta)
-        check_prob("dcr", self.dcr)
+        self._check()
         return self
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make checks the length but skips __new__
+        return cls(*super()._make(iterable))
 
-class ComponentParams(namedtuple("ComponentParams", "p P_act Q_err")):
+
+class DetectorPerformance(Checked, namedtuple("DetectorPerformance", "eta dcr")):
+    """A detector stage's efficiency/dark-count pair (both probabilities)."""
+
+    __slots__ = ()
+
+    def _check(self):
+        check_prob("eta", self.eta)
+        check_prob("dcr", self.dcr)
+
+
+class ComponentParams(Checked, namedtuple("ComponentParams", "p P_act Q_err")):
     """Intrinsic constants of one (non-cascaded) controlled-gate module.
 
     p      -- signal-path transmission through a single module
@@ -164,47 +169,43 @@ class ComponentParams(namedtuple("ComponentParams", "p P_act Q_err")):
     """
 
     __slots__ = ()
-    _make = classmethod(checked_make)
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         check_prob("p", self.p)
         check_prob("P_act", self.P_act)
         check_prob("Q_err", self.Q_err)
-        return self
 
 
-class LevelConfig(namedtuple("LevelConfig", "n k")):
+class LevelConfig(Checked, namedtuple("LevelConfig", "n k")):
     """Per-level choice: n controlled modules, vote threshold k."""
 
     __slots__ = ()
-    _make = classmethod(checked_make)
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         check_int("n", self.n, 1, N_MAX)
         check_int("k", self.k, 1, self.n)
-        return self
 
 
-class Schedule(namedtuple("Schedule", "params levels")):
+class Schedule(Checked, namedtuple("Schedule", "params levels")):
     """Ordered per-level configs (a tuple of LevelConfig) plus the shared module constants."""
 
     __slots__ = ()
-    _make = classmethod(checked_make)
 
     def __new__(cls, params, levels):
-        if not isinstance(params, ComponentParams):
-            raise ValueError(f"params must be a ComponentParams, got {params!r}")
-        if not isinstance(levels, Iterable):
-            raise ValueError(f"levels must be an iterable of LevelConfig, got {levels!r}")
-        levels = tuple(levels)
-        if len(levels) == 0:
+        if isinstance(levels, Iterable):  # else _check names it
+            levels = tuple(levels)
+        return super().__new__(cls, params, levels)
+
+    def _check(self):
+        if not isinstance(self.params, ComponentParams):
+            raise ValueError(f"params must be a ComponentParams, got {self.params!r}")
+        if not isinstance(self.levels, Iterable):
+            raise ValueError(f"levels must be an iterable of LevelConfig, got {self.levels!r}")
+        if len(self.levels) == 0:
             raise ValueError("schedule must contain at least one level")
-        for cfg in levels:
+        for cfg in self.levels:
             if not isinstance(cfg, LevelConfig):
                 raise ValueError("schedule levels must be LevelConfig instances")
-        return super().__new__(cls, params, levels)
 
 
 def run_label(names: list[str]) -> str:
@@ -248,6 +249,7 @@ class Trajectory(namedtuple("Trajectory", "points converged_at", defaults=(None,
 
 
 class ConvergenceRule(
+    Checked,
     namedtuple("ConvergenceRule", "max_levels eta_tol dcr_tol", defaults=(32, 1e-12, 1e-12))
 ):
     """Stop rule for iteration: level cap plus absolute step tolerances.
@@ -257,16 +259,13 @@ class ConvergenceRule(
     """
 
     __slots__ = ()
-    _make = classmethod(checked_make)
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         check_int("max_levels", self.max_levels, 1, MAX_LEVELS)
         # a NaN tolerance compares false and would silently disable early stopping
         for name in ("eta_tol", "dcr_tol"):
             if check_number(name, getattr(self, name)) < 0.0:
                 raise ValueError("tolerances must be >= 0")
-        return self
 
 
 def firing_probs(eta, dcr, P_act: float, Q_err: float) -> tuple:

@@ -38,9 +38,10 @@ join the results, and only its rows above the dark-count floor join the
 next frontier.  No level holds a copy of every unfiltered row, and no
 screen or kernel call builds tables for more than one block: a level's
 working memory beyond its frontier and its filtered rows is set by
-``BLOCK_ROWS``, not by the frontier.  A level's frontier parts are freed
-once joined into the next level's parents, and the feasible rows, with
-the last level's parents, once joined for the ranking.  The level map is
+``BLOCK_ROWS``, not by the frontier.  A frontier is joined column by
+column, each column's parts freed once joined, so the next level's
+parents are held about once; the feasible rows, with the last level's
+parents, are freed once joined for the ranking.  The level map is
 elementwise, so the values do not depend on the blocks, and the `top`
 threshold is taken from every block of an n, so neither does the gate.
 
@@ -66,13 +67,13 @@ import numpy as np
 
 from . import _kernels
 from .dynamics import (
+    Checked,
     ComponentParams,
     DetectorPerformance,
     LevelConfig,
     Schedule,
     check_int,
     check_number,
-    checked_make,
     de_ceiling,
     firing_probs,
     iterate_schedule,  # noqa: F401 -- looked up here by perfbench/tracer.py
@@ -107,6 +108,7 @@ BLOCK_ROWS = 8192
 
 
 class OptimizationQuery(
+    Checked,
     namedtuple(
         "OptimizationQuery",
         "init params de_target dcr_target max_levels n_max",
@@ -122,10 +124,8 @@ class OptimizationQuery(
     """
 
     __slots__ = ()
-    _make = classmethod(checked_make)
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if not isinstance(self.init, DetectorPerformance):
             raise ValueError(f"init must be a DetectorPerformance, got {self.init!r}")
         if not isinstance(self.params, ComponentParams):
@@ -136,7 +136,6 @@ class OptimizationQuery(
             value = getattr(self, name)
             if check_number(name, value) < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {value!r}")
-        return self
 
 
 # a Schedule, its final DetectorPerformance, its cost and its level count
@@ -371,7 +370,9 @@ def _feasible_rows(query: OptimizationQuery, top: int | None) -> list[tuple[np.n
 
         if not remaining or not any(len(f[0]) for f in frontier):
             break  # no level follows, or no row passes on to it
-        rows = tuple(map(np.concatenate, zip(*frontier)))
+        columns = list(zip(*frontier))  # each column's parts freed once joined
+        frontier.clear()
+        rows = tuple(np.concatenate(columns.pop(0)) for _ in range(len(columns)))
     return found
 
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .dynamics import DetectorPerformance, check_number, check_prob, checked_make
+from .dynamics import Checked, DetectorPerformance, check_number, check_prob
 
 __all__ = ["QkdScenario", "gamma_exact", "gamma_approx"]
 
 
-class QkdScenario(namedtuple("QkdScenario", "e_th e_c e", defaults=(None,))):
+class QkdScenario(Checked, namedtuple("QkdScenario", "e_th e_c e", defaults=(None,))):
     """Protocol error budget: secure threshold e_th, non-detector rate e_c.
 
     ``e`` weighs the dark-count term in the exact denominator; it defaults
@@ -26,10 +26,8 @@ class QkdScenario(namedtuple("QkdScenario", "e_th e_c e", defaults=(None,))):
     """
 
     __slots__ = ()
-    _make = classmethod(checked_make)
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         check_number("e_th", self.e_th)
         check_number("e_c", self.e_c)
         # e_th == 0.5 is allowed as the degenerate boundary (gamma = 0).
@@ -39,7 +37,6 @@ class QkdScenario(namedtuple("QkdScenario", "e_th e_c e", defaults=(None,))):
             )
         if self.e is not None:
             check_prob("e", self.e)
-        return self
 
     @property
     def effective_e(self) -> float:

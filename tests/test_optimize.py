@@ -188,6 +188,21 @@ class TestSearchSchedules:
         assert len(results) == 118_137
         assert peak < 18 * 2**20
 
+    def test_last_level_parents_held_once_while_joined(self):
+        # No row is feasible, so the peak is the join of the 552,605
+        # last-level parents (16.9 MiB): 35.2 MiB with the frontier's parts
+        # all held until every column was joined, 22.5 MiB with each
+        # column's parts freed once that column is joined.
+        query = OptimizationQuery(SEED, BASELINE, 0.97, 1e-12, max_levels=5, n_max=7)
+        tracemalloc.start()
+        try:
+            results = search_schedules(query, top=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 0
+        assert peak < 28 * 2**20
+
     def test_listing_of_every_schedule_memory(self):
         # Vacuous targets list all 111,110 schedules of up to 5 levels at
         # n_max 4.  The search's own peak: 11.1 MiB with the feasible row sets

@@ -14,6 +14,7 @@ import pytest
 
 from espd.bounds import FixedPointReport
 from espd.dynamics import (
+    Checked,
     ComponentParams,
     ConvergenceRule,
     DetectorPerformance,
@@ -136,6 +137,15 @@ BAD = [
      "max_levels must be an integer in [1, 6], got 7"),
     (OptimizationQuery, "n_max", (DET, PAR, 0.9, 1e-9, 4, 13),
      "n_max must be an integer in [1, 12], got 13"),
+    (Schedule, "levels-list-items", (PAR, [(4, 2)]),
+     "schedule levels must be LevelConfig instances"),
+    (ConvergenceRule, "eta_tol-nan", (8, math.nan, 0.0), "eta_tol must be finite, got nan"),
+    # two fields broken: the first check in field order reports
+    (DetectorPerformance, "eta-first", (1.5, -0.1), "eta must be in [0, 1], got 1.5"),
+    (LevelConfig, "n-first", (0, 5), "n must be an integer in [1, 64], got 0"),
+    (Schedule, "params-first", (None, 5), "params must be a ComponentParams, got None"),
+    (OptimizationQuery, "init-first", (None, None, -1.0, 1e-9),
+     "init must be a DetectorPerformance, got None"),
 ]
 
 
@@ -181,6 +191,15 @@ def test_make_and_replace_run_the_checks(cls, check, values, message):
         cls._make(values)
     with pytest.raises(ValueError, match=exact):
         GOOD[cls]._replace(**dict(zip(cls._fields, values)))
+
+
+def test_every_checked_record_checks_through_one_base():
+    # each record with checks is one of Checked's direct subclasses, and no
+    # other class is, so a new checked record cannot skip the base
+    checked = {bad[0] for bad in BAD}
+    assert len(checked) == 7
+    assert all(issubclass(cls, Checked) for cls in checked)
+    assert set(Checked.__subclasses__()) == checked
 
 
 def test_defaults():
