@@ -18,7 +18,11 @@ Three prunes keep the tree manageable without touching exactness:
   child ranks after M schedules already found, since cost is the first
   sort key, and its extensions cost more still.  The threshold is updated
   after each n, inside a level; the cut threshold // (n + 1) only falls as
-  n grows, so a level stops at the first n that passes no parent;
+  n grows, so a level stops at the first n that passes no parent.  Nor
+  does a frontier hold a row the gate can never pass: once the threshold
+  exists, a row joins the next frontier only if 2 * cost <= threshold,
+  the cut at n = 1, and the rows already in a frontier are trimmed so
+  whenever the threshold is set or falls;
 * prefixes whose dark-count rate provably cannot reach the target even
   under the best possible continuation (an exact lower bound on the
   next-level dark count, iterated over the remaining depth) stop
@@ -35,15 +39,18 @@ Three prunes keep the tree manageable without touching exactness:
 
 Each config's rows are filtered as they leave the kernel: its feasible rows
 join the results, and only its rows above the dark-count floor join the
-next frontier.  No level holds a copy of every unfiltered row, and no
-screen or kernel call builds tables for more than one block: a level's
-working memory beyond its frontier and its filtered rows is set by
-``BLOCK_ROWS``, not by the frontier.  A frontier is joined column by
-column, each column's parts freed once joined, so the next level's
-parents are held about once; the feasible rows, with the last level's
-parents, are freed once joined for the ranking.  The level map is
-elementwise, so the values do not depend on the blocks, and the `top`
-threshold is taken from every block of an n, so neither does the gate.
+next frontier, under `top` only those with 2 * cost <= threshold too.  No
+level holds a copy of every unfiltered row, and no screen or kernel call
+builds tables for more than one block, nor starts while the previous
+block's arrays are held: a level's working memory beyond its frontier and
+its filtered rows is set by ``BLOCK_ROWS``, not by the frontier.  Under
+`top`, a frontier, and so its join and its sort by cost, holds only the
+rows the gate can still pass.  A frontier is joined column by column,
+each column's parts freed once joined, so the next level's parents are
+held about once; the feasible rows, with the last level's parents, are
+freed once joined for the ranking.  The level map is elementwise, so the
+values do not depend on the blocks, and the `top` threshold is taken from
+every block of an n, so neither does the gate.
 
 The batch kernel runs the scalar level map's own code on arrays, so the
 final performance recorded for every returned schedule is bit-identical to
@@ -258,16 +265,18 @@ def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchRe
 
     Each config's rows are filtered as they leave the kernel: the feasible
     ones join the results and the dark-count floor picks those that join
-    the next frontier.  With `top` set, each level's frontier is sorted by
-    cost, and once `top` feasible rows are known the kernel at n gets only
-    the prefix of parents with ``cost * (n + 1) <= threshold``, the `top`-th
-    least feasible cost so far.  The threshold is updated after every n, so
-    the larger n of a level already see the rows its smaller n found.  At
-    the last level the screen sees the parents the gate passes, and the
-    kernel gets those of them that can meet both targets at some threshold
-    (see the module docstring).  Every screen and kernel call runs on one
-    block of at most ``BLOCK_ROWS`` parents; the result does not depend on
-    the block size.
+    the next frontier.  With `top` set, once `top` feasible rows are known
+    the kernel at n gets only the prefix of parents with
+    ``cost * (n + 1) <= threshold``, the `top`-th least feasible cost so
+    far.  From then on a frontier holds only rows with
+    ``2 * cost <= threshold`` (the rest can never pass the gate), and each
+    level's frontier is sorted by cost.  The threshold is updated after
+    every n, so the larger n of a level already see the rows its smaller n
+    found.  At the last level the screen sees the parents the gate passes,
+    and the kernel gets those of them that can meet both targets at some
+    threshold (see the module docstring).  Every screen and kernel call
+    runs on one block of at most ``BLOCK_ROWS`` parents; the result does
+    not depend on the block size.
     """
     if top is not None:
         check_int("top", top, 1)
@@ -289,11 +298,47 @@ def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchRe
     return result._take(order)
 
 
+def _expand_block(query, parents, n, config, remaining, threshold, found, frontier) -> None:
+    # One block of parents at one n: appends each threshold's feasible
+    # children to `found` and, while levels remain, the children that may
+    # lead to one to `frontier`.  Its arrays are freed on return, before the
+    # next block's screen or kernel call.
+    params = query.params
+    ks = range(1, n + 1)
+    if not remaining:
+        # the screen: the kernel gets only the thresholds some parent of the
+        # block may meet both targets at, and only those parents
+        probs = firing_probs(parents[2], parents[3], params.P_act, params.Q_err)
+        passes = [
+            (c >= query.de_target) & (d <= query.dcr_target) for c, d in _screen(probs, params, n)
+        ]
+        ks = [k for k in ks if passes[k - 1].any()]
+        if not ks:
+            return
+        sel = np.logical_or.reduce(passes)
+        if not sel.all():
+            parents = tuple(col[sel] for col in parents)
+    codes, costs, eta, dcr = parents
+    # the block's thresholds of one n, in one kernel call, in k order
+    figures = _kernels.level_map_batch(eta, dcr, params.p, params.P_act, params.Q_err, n, ks)
+    shifted, cost2 = codes << np.uint64(8), costs * (n + 1)
+    # The gate passes a child on only at cost * (n' + 1) <= threshold, and the
+    # threshold only falls: a child dearer than the cut at n' = 1 never
+    # passes, nor does any extension of it (ties pass).
+    cheap = True if threshold is None else cost2 <= threshold // 2
+    for k, (e2, d2) in zip(ks, figures):
+        children = (shifted | np.uint64(config + k), cost2, e2, d2)
+        feas = (e2 >= query.de_target) & (d2 <= query.dcr_target)
+        found.append(tuple(col[feas] for col in children))
+        if remaining:
+            keep = cheap & (_dcr_floor(d2, query.n_max, remaining) <= query.dcr_target)
+            frontier.append(tuple(col[keep] for col in children))
+
+
 def _feasible_rows(query: OptimizationQuery, top: int | None) -> list[tuple[np.ndarray, ...]]:
     # The search itself (see search_schedules): every feasible row it finds,
     # unranked, as row sets.  Config (n, k)'s code byte is its 1-based index
     # in the (n, k)-ordered config table.
-    params = query.params
     # every row set is (codes, costs, eta, dcr), SearchResult's column order
     rows = (
         np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.int64),
@@ -332,41 +377,19 @@ def _feasible_rows(query: OptimizationQuery, top: int | None) -> list[tuple[np.n
                 parents = rows
                 if hi - lo < len(rows[1]):
                     parents = tuple(col[lo:hi] for col in rows)
-                ks = range(1, n + 1)
-                if not remaining:
-                    # the screen: the kernel gets only the thresholds some parent
-                    # of the block may meet both targets at, and only those parents
-                    probs = firing_probs(parents[2], parents[3], params.P_act, params.Q_err)
-                    passes = [
-                        (c >= query.de_target) & (d <= query.dcr_target)
-                        for c, d in _screen(probs, params, n)
-                    ]
-                    ks = [k for k in ks if passes[k - 1].any()]
-                    if not ks:
-                        continue
-                    sel = np.logical_or.reduce(passes)
-                    if not sel.all():
-                        parents = tuple(col[sel] for col in parents)
-                codes, costs, eta, dcr = parents
-                # the block's thresholds of one n, in one kernel call, in k order
-                figures = _kernels.level_map_batch(
-                    eta, dcr, params.p, params.P_act, params.Q_err, n, ks
-                )
-                shifted, cost2 = codes << np.uint64(8), costs * (n + 1)
-                for k, (e2, d2) in zip(ks, figures):
-                    children = (shifted | np.uint64(config + k), cost2, e2, d2)
-                    feas = (e2 >= query.de_target) & (d2 <= query.dcr_target)
-                    found.append(tuple(col[feas] for col in children))
-                    if remaining:
-                        keep = _dcr_floor(d2, query.n_max, remaining) <= query.dcr_target
-                        frontier.append(tuple(col[keep] for col in children))
+                _expand_block(query, parents, n, config, remaining, threshold, found, frontier)
             config += n
             if top is not None:
                 # every block of this n, so the threshold is the same at any block size
                 ranked = np.concatenate([ranked, *(f[1] for f in found[found_before:])])
                 if len(ranked) >= top:
                     ranked = np.partition(ranked, top - 1)[:top]
-                    threshold = int(ranked[-1])
+                    if threshold != ranked[-1]:
+                        threshold = int(ranked[-1])
+                        # trim the rows made before the threshold fell, each part
+                        # freed once replaced (see _expand_block)
+                        for i, part in enumerate(frontier):
+                            frontier[i] = tuple(col[part[1] <= threshold // 2] for col in part)
 
         if not remaining or not any(len(f[0]) for f in frontier):
             break  # no level follows, or no row passes on to it

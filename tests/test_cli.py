@@ -318,9 +318,10 @@ class TestOptimize:
     # SHA-256 of each query's CSV: a change to any value, row or order of the
     # ranking changes it (criterion 10 holds the search output byte-stable).
     # The third and fourth are the full listing at --max-levels 4 --n-max 8
-    # (37,546 rows) and its Pareto front (896 rows).  The last is the 50
-    # cheapest at --n-max 12, where the cost gate passes parent prefixes
-    # (the later --top overrides --top 0).
+    # (37,546 rows) and its Pareto front (896 rows).  The last three are the
+    # 50 and 1,000 cheapest at --n-max 12, where the cost gate passes parent
+    # prefixes and drops the rows it can never pass from the frontiers (the
+    # later --top overrides --top 0).
     @pytest.mark.parametrize(
         "extra,digest",
         [
@@ -334,6 +335,10 @@ class TestOptimize:
              "40c9fe1e629962c460b13024f571caacb102cd6309b32855a34d0600a4489929"),
             (["--max-levels", "4", "--n-max", "12", "--top", "50"],
              "1575284a91cafd1379d865951cba524df1ca45614841c990085e3275fbd48733"),
+            (["--max-levels", "5", "--n-max", "12", "--top", "1000"],
+             "a6f858ef7810a51e16f401c1e17b06fb67c3f938a9e261270c592c5a71440381"),
+            (["--max-levels", "4", "--n-max", "12", "--top", "1000"],
+             "01d21e73e4bb89cf883fc854be8ee2a0dde3636ea0dc1f2b9c13f981ec3f99d5"),
         ],
     )
     def test_search_csv_bytes_pinned(self, tmp_path, extra, digest):

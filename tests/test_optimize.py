@@ -188,6 +188,28 @@ class TestSearchSchedules:
         assert len(results) == 118_137
         assert peak < 18 * 2**20
 
+    @pytest.mark.parametrize(
+        "max_levels,top,limit_mib", [(4, 50, 6), (5, 1000, 10)],
+        ids=["search-top", "top-1000-of-5-levels"],
+    )
+    def test_top_search_memory(self, max_levels, top, limit_mib):
+        # The search's own peak at n_max 12, with every row the gate can never
+        # pass kept in the frontiers and then with those rows dropped as they
+        # are made and whenever the threshold falls: 7.04 and 4.69 MiB on the
+        # search-top query, whose last frontier held 97,249 rows and then
+        # 3,111; 18.8 and 6.1 MiB on the 1,000 cheapest of up to five levels.
+        query = OptimizationQuery(
+            SEED, BASELINE, 0.93, 1e-9, max_levels=max_levels, n_max=12
+        )
+        tracemalloc.start()
+        try:
+            results = search_schedules(query, top=top)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(results) == top
+        assert peak < limit_mib * 2**20
+
     def test_last_level_parents_held_once_while_joined(self):
         # No row is feasible, so the peak is the join of the 552,605
         # last-level parents (16.9 MiB): 35.2 MiB with the frontier's parts
@@ -450,24 +472,36 @@ class TestScreen:
             assert np.array_equal(getattr(screened, column), getattr(full, column)), column
 
     @pytest.mark.parametrize(
-        "n_max,top,expected", [(8, None, 414_698), (12, 50, 107_004)],
-        ids=["search-all", "search-top"],
+        "max_levels,n_max,top,expected",
+        [
+            (4, 8, None, (53, 117_923, 414_698)),
+            (4, 12, 50, (45, 32_760, 107_004)),
+            (5, 12, 1000, (65, 138_063, 409_261)),
+        ],
+        ids=["search-all", "search-top", "top-1000-of-5-levels"],
     )
-    def test_kernel_work_on_benchmark_queries(self, monkeypatch, n_max, top, expected):
-        # state-thresholds sent to the kernel: 1,632,240 and 114,358 without
-        # the screen, and 419,000 on search-all with one screen of the whole
-        # last level per n, not one per block; a looser screen sends more
-        query = OptimizationQuery(SEED, BASELINE, 0.93, 1e-9, max_levels=4, n_max=n_max)
+    def test_kernel_work_on_benchmark_queries(self, monkeypatch, max_levels, n_max, top, expected):
+        # (calls, states, state-thresholds) sent to the kernel.  The
+        # state-thresholds were 1,632,240 and 114,358 on the benchmark's two
+        # queries without the screen, and 419,000 on search-all with one
+        # screen of the whole last level per n, not one per block; a looser
+        # screen sends more.  Dropping the rows the cost gate can never pass
+        # from the frontiers moves none of the three.
+        query = OptimizationQuery(
+            SEED, BASELINE, 0.93, 1e-9, max_levels=max_levels, n_max=n_max
+        )
         kernel = _kernels.level_map_batch
         work = []
 
         def spy(eta, d, p, P, Q, n, ks):
-            work.append(len(eta) * len(ks))
+            work.append((len(eta), len(ks)))
             return kernel(eta, d, p, P, Q, n, ks)
 
         monkeypatch.setattr(_kernels, "level_map_batch", spy)
         search_schedules(query, top=top)
-        assert sum(work) == expected
+        assert (
+            len(work), sum(rows for rows, _ in work), sum(rows * ks for rows, ks in work)
+        ) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
