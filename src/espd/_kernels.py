@@ -3,10 +3,11 @@
 Three kernels carry the bulk work:
 
 * ``level_map_batch`` -- the enhancement map applied to a whole array of
-  ``(eta, dcr)`` states at once, for every vote threshold of one ``n`` (the
-  schedule search expands each frontier through it once per ``n``); it
-  runs the scalar path's own code on arrays, so batch and scalar values
-  are bit-identical;
+  ``(eta, dcr)`` states at once, for the given vote thresholds of one
+  ``n`` (the schedule search calls it once per block of parents and ``n``;
+  at the last level a call gets only the parents and thresholds the
+  search's screen passes); it runs the scalar path's own code on arrays,
+  so batch and scalar values are bit-identical;
 * ``vote_mass``       -- exact enumeration of all ``2**m`` detector-outcome
   vectors for the k-of-m vote (verification oracle), their probabilities
   built as a product tree;

@@ -17,9 +17,9 @@ made removes the temporary file and leaves any earlier file at the path
 as it was.
 Exit codes: 0 success, 1 compute or tolerance failure,
 2 usage or validation failure.  When ``--out``/``--out-dir`` is omitted,
-relative defaults resolve against ``$ESPD_OUT_DIR`` (falling back to the
-working directory); an empty one, or an empty ``out`` in an ``iterate``
-config, is bad input.
+relative defaults resolve against ``$ESPD_OUT_DIR`` (if unset or empty,
+the working directory); an empty ``--out``/``--out-dir`` or ``iterate``
+config ``out`` is bad input.
 
 Errors: :func:`main` is the one place that turns an exception into an exit
 code.  A ``ValueError`` -- from the library's own checks or from the few

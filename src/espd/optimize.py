@@ -44,13 +44,13 @@ level holds a copy of every unfiltered row, and no screen or kernel call
 builds tables for more than one block, nor starts while the previous
 block's arrays are held: a level's working memory beyond its frontier and
 its filtered rows is set by ``BLOCK_ROWS``, not by the frontier.  Under
-`top`, a frontier, and so its join and its sort by cost, holds only the
-rows the gate can still pass.  A frontier is joined column by column,
-each column's parts freed once joined, so the next level's parents are
-held about once; the feasible rows, with the last level's parents, are
-freed once joined for the ranking.  The level map is elementwise, so the
-values do not depend on the blocks, and the `top` threshold is taken from
-every block of an n, so neither does the gate.
+`top`, a frontier, and so its join, holds only the rows the gate can
+still pass.  A frontier is joined column by column, each column's parts
+freed once joined, so the next level's parents are held about once; the
+feasible rows, with the last level's parents, are freed once joined for
+the ranking.  The level map is elementwise, so the values do not depend
+on the blocks, and the `top` threshold is taken from every block of an
+n, so neither does the gate.
 
 The batch kernel runs the scalar level map's own code on arrays, so the
 final performance recorded for every returned schedule is bit-identical to
@@ -266,17 +266,15 @@ def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchRe
     Each config's rows are filtered as they leave the kernel: the feasible
     ones join the results and the dark-count floor picks those that join
     the next frontier.  With `top` set, once `top` feasible rows are known
-    the kernel at n gets only the prefix of parents with
-    ``cost * (n + 1) <= threshold``, the `top`-th least feasible cost so
-    far.  From then on a frontier holds only rows with
-    ``2 * cost <= threshold`` (the rest can never pass the gate), and each
-    level's frontier is sorted by cost.  The threshold is updated after
-    every n, so the larger n of a level already see the rows its smaller n
-    found.  At the last level the screen sees the parents the gate passes,
-    and the kernel gets those of them that can meet both targets at some
-    threshold (see the module docstring).  Every screen and kernel call
-    runs on one block of at most ``BLOCK_ROWS`` parents; the result does
-    not depend on the block size.
+    a parent is expanded at n only while ``cost * (n + 1) <= threshold``,
+    the `top`-th least feasible cost so far, and from then on a frontier
+    holds only the rows that gate can still pass.  The threshold is
+    updated after every n, so the larger n of a level already see the rows
+    its smaller n found.  At the last level the screen sees the parents the
+    gate passes, and the kernel gets those of them that can meet both
+    targets at some threshold (see the module docstring).  Every screen
+    and kernel call runs on one block of at most ``BLOCK_ROWS`` parents;
+    the result does not depend on the block size.
     """
     if top is not None:
         check_int("top", top, 1)
@@ -298,7 +296,7 @@ def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchRe
     return result._take(order)
 
 
-def _expand_block(query, parents, n, config, remaining, threshold, found, frontier) -> None:
+def _expand_block(query, parents, n, remaining, threshold, found, frontier) -> None:
     # One block of parents at one n: appends each threshold's feasible
     # children to `found` and, while levels remain, the children that may
     # lead to one to `frontier`.  Its arrays are freed on return, before the
@@ -327,7 +325,8 @@ def _expand_block(query, parents, n, config, remaining, threshold, found, fronti
     # passes, nor does any extension of it (ties pass).
     cheap = True if threshold is None else cost2 <= threshold // 2
     for k, (e2, d2) in zip(ks, figures):
-        children = (shifted | np.uint64(config + k), cost2, e2, d2)
+        # config (n, k)'s code byte: its 1-based index in the (n, k)-ordered table
+        children = (shifted | np.uint64(n * (n - 1) // 2 + k), cost2, e2, d2)
         feas = (e2 >= query.de_target) & (d2 <= query.dcr_target)
         found.append(tuple(col[feas] for col in children))
         if remaining:
@@ -337,8 +336,7 @@ def _expand_block(query, parents, n, config, remaining, threshold, found, fronti
 
 def _feasible_rows(query: OptimizationQuery, top: int | None) -> list[tuple[np.ndarray, ...]]:
     # The search itself (see search_schedules): every feasible row it finds,
-    # unranked, as row sets.  Config (n, k)'s code byte is its 1-based index
-    # in the (n, k)-ordered config table.
+    # unranked, as row sets.
     # every row set is (codes, costs, eta, dcr), SearchResult's column order
     rows = (
         np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.int64),
@@ -357,28 +355,24 @@ def _feasible_rows(query: OptimizationQuery, top: int | None) -> list[tuple[np.n
         # the rows each config passes on, reset first: the previous level's
         # parts, joined into `rows`, are freed before this level's work
         frontier: list[tuple[np.ndarray, ...]] = []
-        if top is not None:
-            # cheapest parents first, so the gate passes a prefix
-            order = np.argsort(rows[1], kind="stable")
-            rows = tuple(col[order] for col in rows)
-        config = 0  # configs before this n's: config (n, k) has code config + k
         for n in range(1, query.n_max + 1):
-            cut = len(rows[1])
+            passed = rows
             if threshold is not None:
                 # the gate: a child dearer than the threshold ranks after `top` rows found
-                cut = int(np.searchsorted(rows[1], threshold // (n + 1), side="right"))
-                if cut == 0:
+                gate = rows[1] <= threshold // (n + 1)
+                if not gate.any():
                     break  # the cut only falls as n grows
+                if not gate.all():
+                    passed = tuple(col[gate] for col in rows)
             found_before = len(found)
-            for lo in range(0, cut, BLOCK_ROWS):
-                hi = min(lo + BLOCK_ROWS, cut)
+            size = len(passed[1])
+            for lo in range(0, size, BLOCK_ROWS):
                 # a block of every row keeps the same arrays: perfbench/tracer.py
                 # counts one frontier per eta array object
-                parents = rows
-                if hi - lo < len(rows[1]):
-                    parents = tuple(col[lo:hi] for col in rows)
-                _expand_block(query, parents, n, config, remaining, threshold, found, frontier)
-            config += n
+                parents = passed
+                if size > BLOCK_ROWS:
+                    parents = tuple(col[lo:lo + BLOCK_ROWS] for col in passed)
+                _expand_block(query, parents, n, remaining, threshold, found, frontier)
             if top is not None:
                 # every block of this n, so the threshold is the same at any block size
                 ranked = np.concatenate([ranked, *(f[1] for f in found[found_before:])])

@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import stat
 import tracemalloc
@@ -320,7 +321,7 @@ class TestOptimize:
     # The third and fourth are the full listing at --max-levels 4 --n-max 8
     # (37,546 rows) and its Pareto front (896 rows).  The last three are the
     # 50 and 1,000 cheapest at --n-max 12, where the cost gate passes parent
-    # prefixes and drops the rows it can never pass from the frontiers (the
+    # subsets and drops the rows it can never pass from the frontiers (the
     # later --top overrides --top 0).
     @pytest.mark.parametrize(
         "extra,digest",
@@ -717,6 +718,15 @@ class TestErrorBoundary:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json", "empty_out.json"]
 
+    def test_empty_out_dir_env_is_working_directory(self, tmp_path, capsys, monkeypatch):
+        # an empty ESPD_OUT_DIR names no path given for the output: like an
+        # unset one, it means the working directory
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("ESPD_OUT_DIR", "")
+        assert main(["tables", "--table", "2"]) == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["table2_report.csv"]
+
     def test_optimize_checks_out_before_searching(self, tmp_path, capsys, monkeypatch):
         # the search can take seconds; an empty --out is rejected without it
         monkeypatch.setattr("espd.optimize.search_schedules", pytest.fail)
@@ -814,6 +824,32 @@ _FLAGS = {
 }
 
 
+def _within(parse, lo, hi=math.inf):
+    # a flag's value, parsed as argparse parses it, lies in [lo, hi]
+    return lambda value: lo <= parse(value) <= hi
+
+
+_UNIT = _within(float, 0.0, 1.0)
+# per subcommand: the documented range of each valued flag, which every value
+# of a run that exits 0 must lie in
+_RANGES = {
+    "tables": {"--table": _within(int, 2, 7), "--variant": {"exact", "approx"}.__contains__},
+    "figdata": {"--figure": _within(int, 2, 5)},
+    "optimize": {**dict.fromkeys(["--de-target", "--dcr-target"],
+                                 lambda value: 0.0 <= float(value) < math.inf),
+                 **dict.fromkeys(_MODEL, _UNIT),
+                 "--max-levels": _within(int, 1, 6), "--n-max": _within(int, 1, 12),
+                 "--top": _within(int, 0)},
+    "oracle": {**dict.fromkeys(_MODEL, _UNIT),
+               **dict.fromkeys(["--n", "--k"], _within(int, 1, 16)),
+               "--trials": _within(int, 1), "--seed": _within(int, 0, 2**64 - 1),
+               "--threads": _within(int, 1, 256)},
+    "qkd": dict.fromkeys(["--e-th", "--e-c", "--eta", "--dcr", "--e"], _UNIT),
+    "fixedpoints": {**dict.fromkeys(["--n", "--k"], _within(int, 1, 64)),
+                    "--p": _UNIT, "--P": _UNIT, "--grid": _within(int, 100, 10**6)},
+}
+
+
 class TestGeneratedFlags:
     """No flag value ends in a traceback: exit 0, 1 or 2, with one error line at most."""
 
@@ -824,7 +860,8 @@ class TestGeneratedFlags:
         tmp = tmp_path_factory.getbasetemp() / "flags"
         required, optional = _FLAGS[command]
         argv = [command]
-        for flag, value in data.draw(st.fixed_dictionaries(required, optional=optional)).items():
+        drawn = data.draw(st.fixed_dictionaries(required, optional=optional))
+        for flag, value in drawn.items():
             if flag in ("--out", "--out-dir"):
                 value = str(tmp / value) if value else ""
             # "--flag=value": argparse would read a bare "-inf" as an unknown option
@@ -845,3 +882,6 @@ class TestGeneratedFlags:
             # with no error line
             assert len(lines) in {0: (0,), 1: (0, 1), 2: (1,)}[code], (argv, lines)
             assert all(line.startswith("error: ") for line in lines), (argv, lines)
+        if code == 0:
+            ranges = _RANGES[command]
+            assert all(ranges[f](v) for f, v in drawn.items() if f in ranges), argv

@@ -477,8 +477,9 @@ class TestScreen:
             (4, 8, None, (53, 117_923, 414_698)),
             (4, 12, 50, (45, 32_760, 107_004)),
             (5, 12, 1000, (65, 138_063, 409_261)),
+            (4, 12, 1000, (45, 52_943, 236_742)),
         ],
-        ids=["search-all", "search-top", "top-1000-of-5-levels"],
+        ids=["search-all", "search-top", "top-1000-of-5-levels", "top-1000-of-4-levels"],
     )
     def test_kernel_work_on_benchmark_queries(self, monkeypatch, max_levels, n_max, top, expected):
         # (calls, states, state-thresholds) sent to the kernel.  The
@@ -486,7 +487,11 @@ class TestScreen:
         # queries without the screen, and 419,000 on search-all with one
         # screen of the whole last level per n, not one per block; a looser
         # screen sends more.  Dropping the rows the cost gate can never pass
-        # from the frontiers moves none of the three.
+        # from the frontiers moves none of the three.  The 4-level top-1000
+        # query's last-level gate passes 44,418, 19,395 and 9,745 parents at
+        # n = 1, 2 and 3, so its gated subsets span several blocks with more
+        # than one threshold: the one case in which the frontier's row order
+        # could change which thresholds a block's call evaluates.
         query = OptimizationQuery(
             SEED, BASELINE, 0.93, 1e-9, max_levels=max_levels, n_max=n_max
         )

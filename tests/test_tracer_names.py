@@ -87,7 +87,7 @@ def _count_screened(monkeypatch, optimize):
 # The benchmark's two search queries (variant 0), as (n_max, top), and the
 # per-layer counts its tracer reads for them.  search-top's frontiers are
 # left out: the gate hands the kernel calls of one level different parent
-# prefixes, which the tracer counts as different frontiers.  So are the
+# subsets, which the tracer counts as different frontiers.  So are the
 # last level's: each call gets the parents the screen passes in one block,
 # so the tracer's frontier_L4 is the first such subset.  search-all's true
 # level-4 frontier is counted at the screen instead, summed over each n's
