@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from . import dynamics
+from . import binomial, dynamics
 
 __all__ = [
     "backend_name",
@@ -157,10 +157,7 @@ def mc_block(
     def column(xs):
         return np.array([threshold53(x) for x in xs], dtype=np.uint64)[:, None]
 
-    powers = [1.0]  # p**j by repeated multiplication, j = 0..n
-    for _ in range(n):
-        powers.append(powers[-1] * p)
-    reach_t = column(powers)
+    reach_t = column(binomial.powers(p, n))
     hit_t = column([p_pos] * n + [p_sig])
     dark_t = column([q_pos] * n + [q_sig])
     # counter (t0 + t) * per + i of a chunk adds (i + t * per) * golden to

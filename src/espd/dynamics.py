@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from collections import namedtuple
 from collections.abc import Iterable
 
@@ -473,5 +474,6 @@ def iterate_schedule(
 def effective_transmission(p: float, N: int) -> float:
     """Per-module transmission under a 1/N post-selection gate: ``p**N``."""
     check_prob("p", p)
-    check_int("N", N, 1)
+    # the power takes N as a float, so N must not exceed the largest one
+    check_int("N", N, 1, int(sys.float_info.max))
     return p**N

@@ -247,6 +247,8 @@ def series_trajectory(
     :func:`~espd.dynamics.level_figures`; the ``exact`` variant is the call
     :func:`~espd.dynamics.level_map` makes.
     """
+    if not isinstance(variant, str) or variant not in _VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     probs = _VARIANTS[variant]
     p, P, Q = series.params.p, series.params.P_act, series.params.Q_err
     det = series.seed
@@ -260,10 +262,8 @@ def series_trajectory(
 
 def evaluate_table(number: int, variant: str = "exact") -> TableReport:
     """Recompute one reference table and compare it cell by cell."""
-    if number not in TABLES:
+    if not isinstance(number, int) or number not in TABLES:
         raise ValueError(f"unknown table {number}; available: {sorted(TABLES)}")
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     cells = []
     for series in TABLES[number]:
         rows = series_trajectory(series, variant)
@@ -308,7 +308,7 @@ def figure_panels(number: int) -> list[tuple[str, list[tuple[int, str, float]]]]
     level-0 seed point is included so the plotted trajectories start at the
     baseline detector.
     """
-    if number not in FIGURES:
+    if not isinstance(number, int) or number not in FIGURES:
         raise ValueError(f"unknown figure {number}; available: {sorted(FIGURES)}")
     panels = []
     for stem, table_no in FIGURES[number]:

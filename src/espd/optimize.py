@@ -12,17 +12,18 @@ inner levels, the ones the block's screen passes at the last.
 
 Three prunes keep the tree manageable without touching exactness:
 
-* once the requested number M of feasible schedules is in hand, a parent
-  is expanded at n only while its child's cost, cost * (n + 1), is at most
-  the M-th least feasible cost found so far (ties are expanded).  A dearer
-  child ranks after M schedules already found, since cost is the first
-  sort key, and its extensions cost more still.  The threshold is updated
-  after each n, inside a level; the cut threshold // (n + 1) only falls as
-  n grows, so a level stops at the first n that passes no parent.  Nor
-  does a frontier hold a row the gate can never pass: once the threshold
-  exists, a row joins the next frontier only if 2 * cost <= threshold,
-  the cut at n = 1, and the rows already in a frontier are trimmed so
-  whenever the threshold is set or falls;
+* a parent is expanded at n only while its child's cost, cost * (n + 1),
+  is at most the threshold (ties are expanded).  When M schedules are
+  requested, the threshold is the M-th least feasible cost found so far;
+  until M feasible rows exist, and for a full listing, no cost reaches
+  it.  A dearer child ranks after M schedules already found, since cost
+  is the first sort key, and its extensions cost more still.  The
+  threshold is updated after each n, inside a level; the gate
+  threshold // (n + 1) only falls as n grows, so a level stops at the
+  first n that passes no parent.  Nor does a frontier hold a row the gate
+  can never pass: a row joins the next frontier only if
+  2 * cost <= threshold, the gate at n = 1, and the rows already in a
+  frontier are trimmed so whenever the threshold falls;
 * prefixes whose dark-count rate provably cannot reach the target even
   under the best possible continuation (an exact lower bound on the
   next-level dark count, iterated over the remaining depth) stop
@@ -38,19 +39,17 @@ Three prunes keep the tree manageable without touching exactness:
   of its thresholds.
 
 Each config's rows are filtered as they leave the kernel: its feasible rows
-join the results, and only its rows above the dark-count floor join the
-next frontier, under `top` only those with 2 * cost <= threshold too.  No
-level holds a copy of every unfiltered row, and no screen or kernel call
-builds tables for more than one block, nor starts while the previous
-block's arrays are held: a level's working memory beyond its frontier and
-its filtered rows is set by ``BLOCK_ROWS``, not by the frontier.  Under
-`top`, a frontier, and so its join, holds only the rows the gate can
-still pass.  A frontier is joined column by column, each column's parts
-freed once joined, so the next level's parents are held about once; the
-feasible rows, with the last level's parents, are freed once joined for
-the ranking.  The level map is elementwise, so the values do not depend
-on the blocks, and the `top` threshold is taken from every block of an
-n, so neither does the gate.
+join the results, and only its rows above the dark-count floor with
+2 * cost <= threshold join the next frontier.  No level holds a copy of
+every unfiltered row, and no screen or kernel call builds tables for more
+than one block, nor starts while the previous block's arrays are held: a
+level's working memory beyond its frontier and its filtered rows is set
+by ``BLOCK_ROWS``, not by the frontier.  A frontier is joined column by
+column, each column's parts freed once joined, so the next level's
+parents are held about once; the feasible rows, with the last level's
+parents, are freed once joined for the ranking.  The level map is
+elementwise, so the values do not depend on the blocks, and the
+threshold is read after every block of an n, so neither does the gate.
 
 The batch kernel runs the scalar level map's own code on arrays, so the
 final performance recorded for every returned schedule is bit-identical to
@@ -265,12 +264,14 @@ def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchRe
 
     Each config's rows are filtered as they leave the kernel: the feasible
     ones join the results and the dark-count floor picks those that join
-    the next frontier.  With `top` set, once `top` feasible rows are known
-    a parent is expanded at n only while ``cost * (n + 1) <= threshold``,
-    the `top`-th least feasible cost so far, and from then on a frontier
-    holds only the rows that gate can still pass.  The threshold is
-    updated after every n, so the larger n of a level already see the rows
-    its smaller n found.  At the last level the screen sees the parents the
+    the next frontier.  Full listings and `top` listings run the same
+    search: a parent is expanded at n only while
+    ``cost * (n + 1) <= threshold``, and a frontier holds only the rows
+    that gate can still pass.  With `top` set, the threshold is the
+    `top`-th least feasible cost found so far; until `top` feasible rows
+    exist, and for a full listing, no cost reaches it.  It is updated
+    after every n, so the larger n of a level already see the rows its
+    smaller n found.  At the last level the screen sees the parents the
     gate passes, and the kernel gets those of them that can meet both
     targets at some threshold (see the module docstring).  Every screen
     and kernel call runs on one block of at most ``BLOCK_ROWS`` parents;
@@ -291,9 +292,7 @@ def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchRe
     # and within one length the code sorts like the encoding, since configs
     # are listed in (n, k) order.
     order = np.lexsort((result.codes, -result.eta, result.dcr, result.costs))
-    if top is not None:
-        order = order[:top]
-    return result._take(order)
+    return result._take(order[:top])
 
 
 def _expand_block(query, parents, n, remaining, threshold, found, frontier) -> None:
@@ -321,9 +320,9 @@ def _expand_block(query, parents, n, remaining, threshold, found, frontier) -> N
     figures = _kernels.level_map_batch(eta, dcr, params.p, params.P_act, params.Q_err, n, ks)
     shifted, cost2 = codes << np.uint64(8), costs * (n + 1)
     # The gate passes a child on only at cost * (n' + 1) <= threshold, and the
-    # threshold only falls: a child dearer than the cut at n' = 1 never
-    # passes, nor does any extension of it (ties pass).
-    cheap = True if threshold is None else cost2 <= threshold // 2
+    # threshold only falls: a child dearer than the gate at n' = 1,
+    # threshold // 2, never passes, nor does any extension of it (ties pass).
+    cheap = cost2 <= threshold // 2
     for k, (e2, d2) in zip(ks, figures):
         # config (n, k)'s code byte: its 1-based index in the (n, k)-ordered table
         children = (shifted | np.uint64(n * (n - 1) // 2 + k), cost2, e2, d2)
@@ -346,25 +345,23 @@ def _feasible_rows(query: OptimizationQuery, top: int | None) -> list[tuple[np.n
     # feasible rows, one set per block and threshold, after an empty set
     # that gives an empty listing its columns
     found = [tuple(col[:0] for col in rows)]
-    # the least `top` feasible costs found so far (all of them while fewer);
-    # once there are `top`, the greatest is the cost gate's threshold
-    ranked = np.zeros(0, dtype=np.int64)
-    threshold = None
+    # the cost gate's threshold: the `top`-th least feasible cost found so
+    # far, and until then (or without `top`) above every cost, which is at
+    # most 13**6
+    threshold = np.iinfo(np.int64).max
 
     for remaining in reversed(range(query.max_levels)):  # levels still to come
         # the rows each config passes on, reset first: the previous level's
         # parts, joined into `rows`, are freed before this level's work
         frontier: list[tuple[np.ndarray, ...]] = []
         for n in range(1, query.n_max + 1):
-            passed = rows
-            if threshold is not None:
-                # the gate: a child dearer than the threshold ranks after `top` rows found
-                gate = rows[1] <= threshold // (n + 1)
-                if not gate.any():
-                    break  # the cut only falls as n grows
-                if not gate.all():
-                    passed = tuple(col[gate] for col in rows)
-            found_before = len(found)
+            # the gate: a child dearer than the threshold ranks after `top`
+            # rows found; it passes every row until `top` rows exist
+            gate = rows[1] <= threshold // (n + 1)
+            if not gate.any():
+                break  # the cut only falls as n grows
+            passed = rows if gate.all() else tuple(col[gate] for col in rows)
+            del gate  # the mask is not held while the blocks run
             size = len(passed[1])
             for lo in range(0, size, BLOCK_ROWS):
                 # a block of every row keeps the same arrays: perfbench/tracer.py
@@ -373,17 +370,16 @@ def _feasible_rows(query: OptimizationQuery, top: int | None) -> list[tuple[np.n
                 if size > BLOCK_ROWS:
                     parents = tuple(col[lo:lo + BLOCK_ROWS] for col in passed)
                 _expand_block(query, parents, n, remaining, threshold, found, frontier)
-            if top is not None:
-                # every block of this n, so the threshold is the same at any block size
-                ranked = np.concatenate([ranked, *(f[1] for f in found[found_before:])])
-                if len(ranked) >= top:
-                    ranked = np.partition(ranked, top - 1)[:top]
-                    if threshold != ranked[-1]:
-                        threshold = int(ranked[-1])
-                        # trim the rows made before the threshold fell, each part
-                        # freed once replaced (see _expand_block)
-                        for i, part in enumerate(frontier):
-                            frontier[i] = tuple(col[part[1] <= threshold // 2] for col in part)
+            if top is not None and sum(len(f[1]) for f in found) >= top:
+                # read after every block of this n, so the threshold is the same
+                # at any block size; no name holds the joined costs
+                cut = np.partition(np.concatenate([f[1] for f in found]), top - 1)[top - 1]
+                if cut < threshold:
+                    threshold = int(cut)
+                    # trim the rows made before the threshold fell, each part
+                    # freed once replaced (see _expand_block)
+                    for i, part in enumerate(frontier):
+                        frontier[i] = tuple(col[part[1] <= threshold // 2] for col in part)
 
         if not remaining or not any(len(f[0]) for f in frontier):
             break  # no level follows, or no row passes on to it

@@ -608,9 +608,10 @@ class TestEffectiveTransmission:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             effective_transmission(1.5, 2)
-        for bad in (0, -3, True, 2.0, "2"):
+        for bad in (0, -3, True, 2.0, "2", 2**1024):
             with pytest.raises(ValueError, match="N must be an integer"):
                 effective_transmission(0.9, bad)
+        assert effective_transmission(0.5, 10**300) == 0.0
 
 
 class TestApproxIntermediates:

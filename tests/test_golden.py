@@ -29,8 +29,13 @@ def test_reference_table_two_fully_matches():
 
 @pytest.mark.parametrize(
     "call,match",
-    [(lambda: evaluate_table(9), "unknown table 9"), (lambda: figure_panels(7), "unknown figure 7")],
-    ids=["table", "figure"],
+    [
+        (lambda: evaluate_table(9), "unknown table 9"),
+        (lambda: figure_panels(7), "unknown figure 7"),
+        (lambda: evaluate_table([2]), r"unknown table \[2\]"),
+        (lambda: figure_panels([2]), r"unknown figure \[2\]"),
+    ],
+    ids=["table", "figure", "table-list", "figure-list"],
 )
 def test_unknown_table_raises(call, match):
     with pytest.raises(ValueError, match=match):
@@ -38,8 +43,13 @@ def test_unknown_table_raises(call, match):
 
 
 def test_unknown_variant_raises():
-    with pytest.raises(ValueError):
-        evaluate_table(2, variant="fancy")
+    for call in (
+        lambda: evaluate_table(2, variant="fancy"),
+        lambda: series_trajectory(TABLES[2][0], "fancy"),
+        lambda: series_trajectory(TABLES[2][0], ["exact"]),
+    ):
+        with pytest.raises(ValueError, match="unknown variant"):
+            call()
 
 
 def test_variants_differ_slightly():

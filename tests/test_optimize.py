@@ -189,7 +189,7 @@ class TestSearchSchedules:
         assert peak < 18 * 2**20
 
     @pytest.mark.parametrize(
-        "max_levels,top,limit_mib", [(4, 50, 6), (5, 1000, 10)],
+        "max_levels,top,limit_mib", [(4, 50, 6), (5, 1000, 7)],
         ids=["search-top", "top-1000-of-5-levels"],
     )
     def test_top_search_memory(self, max_levels, top, limit_mib):
@@ -197,7 +197,9 @@ class TestSearchSchedules:
         # pass kept in the frontiers and then with those rows dropped as they
         # are made and whenever the threshold falls: 7.04 and 4.69 MiB on the
         # search-top query, whose last frontier held 97,249 rows and then
-        # 3,111; 18.8 and 6.1 MiB on the 1,000 cheapest of up to five levels.
+        # 3,111; 18.8 and 6.1 MiB on the 1,000 cheapest of up to five levels,
+        # and 8.0 MiB there with the rows dropped as they are made but no
+        # trim when the threshold falls.
         query = OptimizationQuery(
             SEED, BASELINE, 0.93, 1e-9, max_levels=max_levels, n_max=12
         )
@@ -478,8 +480,13 @@ class TestScreen:
             (4, 12, 50, (45, 32_760, 107_004)),
             (5, 12, 1000, (65, 138_063, 409_261)),
             (4, 12, 1000, (45, 52_943, 236_742)),
+            (4, 8, 37_546, (53, 117_923, 414_698)),
+            (4, 8, 10**6, (53, 117_923, 414_698)),
         ],
-        ids=["search-all", "search-top", "top-1000-of-5-levels", "top-1000-of-4-levels"],
+        ids=[
+            "search-all", "search-top", "top-1000-of-5-levels", "top-1000-of-4-levels",
+            "top-every-row", "top-above-every-row",
+        ],
     )
     def test_kernel_work_on_benchmark_queries(self, monkeypatch, max_levels, n_max, top, expected):
         # (calls, states, state-thresholds) sent to the kernel.  The
@@ -491,7 +498,9 @@ class TestScreen:
         # query's last-level gate passes 44,418, 19,395 and 9,745 parents at
         # n = 1, 2 and 3, so its gated subsets span several blocks with more
         # than one threshold: the one case in which the frontier's row order
-        # could change which thresholds a block's call evaluates.
+        # could change which thresholds a block's call evaluates.  A `top` of
+        # at least search-all's 37,546 rows never cuts before the search ends,
+        # so it does exactly the full listing's work.
         query = OptimizationQuery(
             SEED, BASELINE, 0.93, 1e-9, max_levels=max_levels, n_max=n_max
         )
