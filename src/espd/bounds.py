@@ -34,7 +34,7 @@ __all__ = [
 ROOT_GAIN_TOL = 1e-10
 ROOT_DEDUP_TOL = 1e-9
 # Largest fixed-point scan grid (library and CLI); the scan costs one gain
-# evaluation and two list entries per grid point.
+# evaluation per grid point and holds no per-point state.
 GRID_MAX = 1_000_000
 
 
@@ -134,10 +134,10 @@ def find_fixed_points(
 ) -> FixedPointReport:
     """Locate the roots of :func:`de_gain` on (0, 1].
 
-    Scans a uniform grid, bisects every sign change down to
-    ``|gain| <= ROOT_GAIN_TOL``, and also accepts exact zeros at grid
-    points.  The positive-gain interval is reported at grid resolution.
-    An empty root tuple is a valid outcome.
+    Scans a uniform grid in one ascending pass, taking exact zeros at grid
+    points and bisecting each sign change down to ``|gain| <= ROOT_GAIN_TOL``,
+    so roots are found in ascending order.  The positive-gain interval is
+    reported at grid resolution.  An empty root tuple is a valid outcome.
     """
     check_int("grid", grid, 100, GRID_MAX)
     # de_gain's checks, in its order, once; the scan's x are all in (0, 1]
@@ -150,30 +150,27 @@ def find_fixed_points(
     def gain(x: float) -> float:  # de_gain's arithmetic, in its order
         return _decision_poly(x, n, k, P * x) * pn - x
 
-    xs = [i / grid for i in range(1, grid + 1)]
-    gs = [gain(x) for x in xs]
-
     roots: list[float] = []
-    for x, g in zip(xs, gs):
-        if g == 0.0:
-            roots.append(x)
-    for i in range(len(xs) - 1):
-        if gs[i] * gs[i + 1] < 0.0:
-            roots.append(_bisect(gain, xs[i], xs[i + 1], gs[i], gs[i + 1]))
+    first = last = None
+    lo = glo = 0.0
+    for i in range(1, grid + 1):
+        x = i / grid
+        g = gain(x)
+        if g == 0.0 or glo * g < 0.0:
+            r = x if g == 0.0 else _bisect(gain, lo, x, glo)
+            if not roots or r - roots[-1] > ROOT_DEDUP_TOL:
+                roots.append(r)
+        if g > 0.0:
+            first = first or x
+            last = x
+        lo, glo = x, g
 
-    roots.sort()
-    dedup: list[float] = []
-    for r in roots:
-        if not dedup or r - dedup[-1] > ROOT_DEDUP_TOL:
-            dedup.append(r)
-    dedup = [r for r in dedup if abs(gain(r)) <= ROOT_GAIN_TOL]
-
-    pos = [x for x, g in zip(xs, gs) if g > 0.0]
-    interval = (pos[0], pos[-1]) if pos else None
-    return FixedPointReport(tuple(dedup), interval)
+    roots = [r for r in roots if abs(gain(r)) <= ROOT_GAIN_TOL]
+    interval = (first, last) if first else None
+    return FixedPointReport(tuple(roots), interval)
 
 
-def _bisect(fn, lo: float, hi: float, flo: float, fhi: float) -> float:
+def _bisect(fn, lo: float, hi: float, flo: float) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -182,7 +179,7 @@ def _bisect(fn, lo: float, hi: float, flo: float, fhi: float) -> float:
         if abs(fm) <= ROOT_GAIN_TOL:
             return mid
         if (flo < 0.0) != (fm < 0.0):
-            hi, fhi = mid, fm
+            hi = mid
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)

@@ -29,6 +29,7 @@ __all__ = [
     "ENUM_MAX_N",
     "MC_BLOCK_TRIALS",
     "MC_MAX_THREADS",
+    "MC_MAX_TRIALS",
     "OracleReport",
     "enumerate_level",
     "mc_level",
@@ -42,8 +43,10 @@ ENUM_MAX_N = 16
 # block's own substream, so the partition never affects the tallies.
 MC_BLOCK_TRIALS = 65536
 
-# Most pool threads mc_level accepts; each one holds a block's chunk buffers.
+# Most pool threads and trials mc_level accepts: each thread holds a block's
+# chunk buffers, and 10**9 trials take about 100 s on one thread.
 MC_MAX_THREADS = 256
+MC_MAX_TRIALS = 10**9
 
 
 # Closed form vs. enumeration vs. Monte Carlo for one level map.
@@ -122,9 +125,9 @@ def mc_level(
     and no block list is built; integer tallies sum exactly in any order,
     so the output depends only on (seed, trials).  The seed must lie in
     ``[0, 2**64)``, so distinct seeds never share a stream; at most
-    ``MC_MAX_THREADS`` pool threads run the blocks.
+    ``MC_MAX_THREADS`` pool threads run at most ``MC_MAX_TRIALS`` trials.
     """
-    check_int("trials", trials, 1)
+    check_int("trials", trials, 1, MC_MAX_TRIALS)
     check_int("threads", threads, 1, MC_MAX_THREADS)
     check_int("seed", seed, 0, (1 << 64) - 1)
     n, k = config.n, config.k

@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,74 @@ class TestFindFixedPoints:
         report = find_fixed_points(1.0, 0.9, 4, 2)
         assert report.roots == ()
         assert report.gain_positive_interval == (0.3, 1.0)
+
+    @staticmethod
+    def multi_pass_scan(p, P, n, k, grid):
+        # The scan as it was before it became one pass: gains held in
+        # grid-length lists, zeros and sign changes found in separate passes,
+        # then the roots sorted, deduplicated and filtered.
+        def gain(x):
+            return de_gain(x, p, P, n, k)
+
+        def bisect(lo, hi, flo):
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break
+                fm = gain(mid)
+                if abs(fm) <= bounds.ROOT_GAIN_TOL:
+                    return mid
+                if (flo < 0.0) != (fm < 0.0):
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+            return 0.5 * (lo + hi)
+
+        xs = [i / grid for i in range(1, grid + 1)]
+        gs = [gain(x) for x in xs]
+        roots = [x for x, g in zip(xs, gs) if g == 0.0]
+        for i in range(len(xs) - 1):
+            if gs[i] * gs[i + 1] < 0.0:
+                roots.append(bisect(xs[i], xs[i + 1], gs[i]))
+        roots.sort()
+        dedup = []
+        for r in roots:
+            if not dedup or r - dedup[-1] > bounds.ROOT_DEDUP_TOL:
+                dedup.append(r)
+        dedup = [r for r in dedup if abs(gain(r)) <= bounds.ROOT_GAIN_TOL]
+        pos = [x for x, g in zip(xs, gs) if g > 0.0]
+        return tuple(dedup), (pos[0], pos[-1]) if pos else None
+
+    def test_one_pass_matches_multi_pass_scan(self):
+        # the paper's two queries, an exact zero at a grid point, two roots
+        # 3.2e-4 apart just before they merge, then seeded draws of every
+        # valid (n, k) up to 12 with p and P ends included
+        rng = random.Random(30)
+        prob = lambda: rng.choice([0.0, 1.0]) if rng.random() < 0.1 else rng.random()
+        cases = [(0.98, 0.97, 4, 2, 10000), (0.98, 0.97, 8, 4, 10000), (1.0, 1.0, 5, 1, 137),
+                 (0.886495368404008, 0.97, 4, 2, 1000)]
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            cases.append((prob(), prob(), n, rng.randint(1, n),
+                          rng.choice([100, 137, 1000, 2000])))
+        with_roots = 0
+        for p, P, n, k, grid in cases:
+            report = find_fixed_points(p, P, n, k, grid=grid)
+            assert tuple(report) == self.multi_pass_scan(p, P, n, k, grid), (p, P, n, k, grid)
+            with_roots += bool(report.roots)
+        assert with_roots >= 30
+
+    def test_scan_memory_independent_of_grid(self):
+        # tracemalloc peak at grid 100,000: 6.71 MiB with the gains held in
+        # grid-length lists, 0.00 MiB with one pass holding only the roots
+        tracemalloc.start()
+        try:
+            report = find_fixed_points(0.98, 0.97, 4, 2, grid=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.roots
+        assert peak < 2**20
 
     @pytest.mark.parametrize(
         "p, P, n, k", [(0.98, 0.97, 4, 2), (0.98, 0.97, 8, 4), (1, 0.5, 12, 3)]

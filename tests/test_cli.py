@@ -548,6 +548,12 @@ class TestOracle:
         assert main(["oracle", "--n", "4", "--k", "1", "--seed", seed]) == 2
         assert capsys.readouterr().err.startswith("error: seed must be an integer")
 
+    def test_trials_above_cap_rejected(self, no_oracle_work, capsys):
+        assert main(["oracle", "--n", "4", "--k", "1", "--trials", "1000000001"]) == 2
+        assert capsys.readouterr().err == (
+            "error: trials must be an integer in [1, 1000000000], got 1000000001\n"
+        )
+
 
 class TestQkd:
     def test_zero_dark_count(self, capsys):
@@ -783,8 +789,8 @@ class TestErrorBoundary:
 # generated above.  Each flag is mostly an in-range value, else a hostile
 # number (ints negative, 0 or huge; floats nan, infinite, subnormal, 1e308 or
 # -0.0) or arbitrary text.  In-range values are capped so each run stays
-# small; a huge value is drawn only where the library rejects it before any
-# work, so never for ``--trials``, which has no upper bound.
+# small; a huge value is drawn for every integer flag, since each one that
+# sizes the work (``--trials`` included) is capped before any work runs.
 _HUGE = st.sampled_from([2**63, 2**64, 10**30])
 _HOSTILE_FLOAT = st.floats() | st.sampled_from([-0.0, 5e-324, 1e308, float("nan"), -float("inf")])
 _SWITCH = st.none()
@@ -798,8 +804,8 @@ def _arg(good, hostile):
     return st.integers(0, 19).flatmap(lambda i: pick.get(i, good.map(repr)))
 
 
-def _int(lo, cap, huge=_HUGE):
-    return _arg(st.integers(lo, cap), st.integers(-3, 0) | huge)
+def _int(lo, cap):
+    return _arg(st.integers(lo, cap), st.integers(-3, 0) | _HUGE)
 
 
 _PROB = _arg(st.floats(0.0, 1.0), _HOSTILE_FLOAT)
@@ -815,7 +821,7 @@ _FLAGS = {
                   "--max-levels": _int(1, 2), "--n-max": _int(1, 4)},
                  {**_MODEL, "--top": _int(0, 60), "--pareto": _SWITCH, "--out": _OUT}),
     "oracle": ({"--n": _int(1, 16), "--k": _int(1, 16)},
-               {**_MODEL, "--trials": _int(1, 10**4, huge=st.nothing()), "--seed": _int(0, 99),
+               {**_MODEL, "--trials": _int(1, 10**4), "--seed": _int(0, 99),
                 "--threads": _int(1, 4)}),
     "qkd": (dict.fromkeys(["--e-th", "--e-c", "--eta", "--dcr"], _PROB),
             {"--e": _PROB, "--approx": _SWITCH}),
@@ -842,7 +848,7 @@ _RANGES = {
                  "--top": _within(int, 0)},
     "oracle": {**dict.fromkeys(_MODEL, _UNIT),
                **dict.fromkeys(["--n", "--k"], _within(int, 1, 16)),
-               "--trials": _within(int, 1), "--seed": _within(int, 0, 2**64 - 1),
+               "--trials": _within(int, 1, 10**9), "--seed": _within(int, 0, 2**64 - 1),
                "--threads": _within(int, 1, 256)},
     "qkd": dict.fromkeys(["--e-th", "--e-c", "--eta", "--dcr", "--e"], _UNIT),
     "fixedpoints": {**dict.fromkeys(["--n", "--k"], _within(int, 1, 64)),

@@ -112,7 +112,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(oracle, "ThreadPoolExecutor", started)
         monkeypatch.setattr(_kernels, "mc_block", started)
 
-    @pytest.mark.parametrize("bad", [0, -1, 2.5, 2.0, True, "2"])
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, 2.0, True, "2", 10**9 + 1])
     @pytest.mark.parametrize("field", ["trials", "threads"])
     def test_counts_must_be_positive_integers(self, no_mc_work, field, bad):
         counts = {"trials": 200_000, "threads": 2, field: bad}
