@@ -16,6 +16,7 @@ the zero powers make the degenerate terms exactly 0.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 __all__ = [
@@ -33,8 +34,11 @@ __all__ = [
 
 def clamp1(v):
     """``min(v, 1)`` for a float or, elementwise, an ndarray."""
-    # ndarray.clip with only a max is np.minimum, without importing numpy here
-    return min(v, 1.0) if isinstance(v, float) else v.clip(max=1.0)
+    if isinstance(v, float):
+        return min(v, 1.0)
+    # np.minimum, which ndarray.clip with only a max calls through a Python
+    # wrapper; an ndarray means numpy is loaded, so binomial need not import it
+    return sys.modules["numpy"].minimum(v, 1.0)
 
 
 def powers(x, n: int) -> list:

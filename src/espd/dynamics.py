@@ -309,10 +309,10 @@ def _power_pair(x, n: int) -> tuple[list, list]:
     return binomial.powers(x, n), binomial.powers(1.0 - x, n)
 
 
-def _vote(s, tails, ks):
+def _vote(s, tails, ks, r=None):
     # For each k in ks, one at a time: a firing signal detector (probability
-    # s) lowers the vote threshold by one.
-    r = 1.0 - s
+    # s) lowers the vote threshold by one.  `r` is 1 - s, if the caller has it.
+    r = 1.0 - s if r is None else r
     return (r * tails[k] + s * tails[k - 1] for k in ks)
 
 
@@ -356,15 +356,20 @@ def level_figures(p_pos, q_pos, p_sig, q_sig, p: float, n: int, ks) -> list:
     does not depend on k is done once, and each vote tail once, since
     threshold k reads the tails at k and k - 1.
     """
-    pp, py = _power_pair(p_pos, n)
     qp, qy, dcrs = vacuum_figures(q_pos, q_sig, n, ks)[:3]
     ms = {m for k in ks for m in (k - 1, k)}
     totals = [0.0] * len(ks)
-    pw = 1.0
+    pw, rq = 1.0, 1.0 - q_sig
+    # the powers of p_pos and 1 - p_pos grow with i, by the same products
+    # as binomial.powers; those of q_pos are held only up to n - i
+    pp, py, y = [1.0], [1.0], 1.0 - p_pos
     for i in range(1, n + 1):
+        pp.append(pp[-1] * p_pos)
+        py.append(py[-1] * y)
+        del qp[n - i + 1:], qy[n - i + 1:]
         tails = _loss_tails(pp, py, qp, qy, n, i, ms)
         w = pw * (1.0 - p)
-        for j, v in enumerate(_vote(q_sig, tails, ks)):
+        for j, v in enumerate(_vote(q_sig, tails, ks, rq)):
             totals[j] = totals[j] + w * v
         pw = pw * p
     survive = binomial.tail_table(n, pp, py)

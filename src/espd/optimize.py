@@ -18,7 +18,8 @@ Three prunes keep the tree manageable without touching exactness:
   until M feasible rows exist, and for a full listing, no cost reaches
   it.  A dearer child ranks after M schedules already found, since cost
   is the first sort key, and its extensions cost more still.  The
-  threshold is updated after each n, inside a level; the gate
+  threshold is updated after each n, inside a level, and the last
+  level's passes lower it while the second-to-last still runs; the gate
   threshold // (n + 1) only falls as n grows, so a level stops at the
   first n that passes no parent.  Nor does a frontier hold a row the gate
   can never pass: a row joins the next frontier only if
@@ -46,10 +47,14 @@ than one block, nor starts while the previous block's arrays are held: a
 level's working memory beyond its frontier and its filtered rows is set
 by ``BLOCK_ROWS``, not by the frontier.  A frontier is joined column by
 column, each column's parts freed once joined, so the next level's
-parents are held about once; the feasible rows, with the last level's
-parents, are freed once joined for the ranking.  The level map is
-elementwise, so the values do not depend on the blocks, and the
-threshold is read after every block of an n, so neither does the gate.
+parents are held about once.  The last level's parents are never held
+whole: at each n boundary of the second-to-last level, the last level runs
+on the children made so far, in passes of ``FUSE_ROWS`` rows, and the
+rows short of a pass wait for the next boundary, or the level's end.
+The ranking joins the feasible rows, and then takes the ranked order, a
+column at a time.  The level map is elementwise, so the values do not
+depend on the blocks or passes, and the threshold is read after every n
+of every level, not after a block, so neither does the gate.
 
 The batch kernel runs the scalar level map's own code on arrays, so the
 final performance recorded for every returned schedule is bit-identical to
@@ -111,6 +116,21 @@ TINY = 2.0**-1022
 # noise (2-core container, numpy 2.4.6).  4,096 would split the 6,074-row
 # inner level of `--n-max 12 --top 50` into two calls.
 BLOCK_ROWS = 8192
+# Rows per pass of the last level over the second-to-last level's children,
+# taken at that level's n boundaries; fewer rows wait for the next one.
+# Swept on the kernel's state-thresholds for search-all, search-top and the
+# 1,000 cheapest of up to 5 and of up to 4 levels at n_max 12, and the
+# search-top search's tracemalloc peak:
+#   level held whole   414,698  107,004  409,261  236,742   4.63 MiB
+#    8,192             414,698   53,774  399,040  346,919   2.31 MiB
+#   12,288             399,800   52,028  403,369  238,070   2.31 MiB
+#   16,384             414,698   53,116  403,043  214,884   2.33 MiB
+#   32,768             414,698   65,449  409,261  213,235   2.87 MiB
+#   65,536             414,698  107,004  409,261  242,747   4.63 MiB
+# 16,384 is the least that sends no query more work than the whole level.
+FUSE_ROWS = 16384
+# Rows of the ranked order that pareto_front reads as Python objects at a time.
+PARETO_ROWS = 8192
 
 
 class OptimizationQuery(
@@ -271,28 +291,30 @@ def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchRe
     `top`-th least feasible cost found so far; until `top` feasible rows
     exist, and for a full listing, no cost reaches it.  It is updated
     after every n, so the larger n of a level already see the rows its
-    smaller n found.  At the last level the screen sees the parents the
+    smaller n found.  The last level runs on the second-to-last level's
+    children at each of that level's n boundaries, in passes of
+    ``FUSE_ROWS`` rows, so its rows lower the threshold for the larger n of
+    the level before.  At the last level the screen sees the parents the
     gate passes, and the kernel gets those of them that can meet both
     targets at some threshold (see the module docstring).  Every screen
     and kernel call runs on one block of at most ``BLOCK_ROWS`` parents;
-    the result does not depend on the block size.
+    the result does not depend on the block or pass size.
     """
     if top is not None:
         check_int("top", top, 1)
     configs = tuple(
         LevelConfig(n, k) for n in range(1, query.n_max + 1) for k in range(1, n + 1)
     )
-    # no name holds the row sets: they, and the last level's parents, are
-    # freed once joined, before the ranking copies the joined columns
-    result = SearchResult(
-        query.params, configs, *map(np.concatenate, zip(*_feasible_rows(query, top)))
-    )
+    codes, costs, eta, dcr = columns = _join(_feasible_rows(query, top))
     # Rank by cost, dcr, -eta, then the code, which sorts by length, then
     # encoding: a longer code is larger, its top byte being an index >= 1,
     # and within one length the code sorts like the encoding, since configs
     # are listed in (n, k) order.
-    order = np.lexsort((result.codes, -result.eta, result.dcr, result.costs))
-    return result._take(order[:top])
+    order = np.lexsort((codes, -eta, dcr, costs))[:top]
+    del codes, costs, eta, dcr
+    for i in range(len(columns)):
+        columns[i] = columns[i][order]  # each source column freed once taken
+    return SearchResult(query.params, configs, *columns)
 
 
 def _expand_block(query, parents, n, remaining, threshold, found, frontier) -> None:
@@ -327,37 +349,43 @@ def _expand_block(query, parents, n, remaining, threshold, found, frontier) -> N
         # config (n, k)'s code byte: its 1-based index in the (n, k)-ordered table
         children = (shifted | np.uint64(n * (n - 1) // 2 + k), cost2, e2, d2)
         feas = (e2 >= query.de_target) & (d2 <= query.dcr_target)
-        found.append(tuple(col[feas] for col in children))
+        if feas.any():
+            found.append(tuple(col[feas] for col in children))
         if remaining:
             keep = cheap & (_dcr_floor(d2, query.n_max, remaining) <= query.dcr_target)
             frontier.append(tuple(col[keep] for col in children))
 
 
-def _feasible_rows(query: OptimizationQuery, top: int | None) -> list[tuple[np.ndarray, ...]]:
-    # The search itself (see search_schedules): every feasible row it finds,
-    # unranked, as row sets.
-    # every row set is (codes, costs, eta, dcr), SearchResult's column order
-    rows = (
-        np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.int64),
-        np.array([query.init.eta], dtype=np.float64),
-        np.array([query.init.dcr], dtype=np.float64),
-    )
-    # feasible rows, one set per block and threshold, after an empty set
-    # that gives an empty listing its columns
-    found = [tuple(col[:0] for col in rows)]
-    # the cost gate's threshold: the `top`-th least feasible cost found so
-    # far, and until then (or without `top`) above every cost, which is at
-    # most 13**6
-    threshold = np.iinfo(np.int64).max
+def _join(row_sets: list) -> list[np.ndarray]:
+    # the row sets' columns, each joined and its parts freed before the next
+    # is joined, so the rows are held about once; empties `row_sets`
+    columns = list(zip(*row_sets))
+    row_sets.clear()
+    return [np.concatenate(columns.pop(0)) for _ in range(len(columns))]
 
-    for remaining in reversed(range(query.max_levels)):  # levels still to come
-        # the rows each config passes on, reset first: the previous level's
-        # parts, joined into `rows`, are freed before this level's work
-        frontier: list[tuple[np.ndarray, ...]] = []
-        for n in range(1, query.n_max + 1):
+
+class _Search:
+    # The search's running state (see search_schedules): the feasible row
+    # sets found, unranked, and the cost gate's threshold.  Every row set is
+    # (codes, costs, eta, dcr), SearchResult's column order.
+
+    def __init__(self, query: OptimizationQuery, top: int | None, init: tuple) -> None:
+        self.query, self.top = query, top
+        # an empty set first gives an empty listing its columns
+        self.found = [tuple(col[:0] for col in init)]
+        # the `top`-th least feasible cost found so far, and until then (or
+        # without `top`) above every cost, which is at most 13**6
+        self.threshold = np.iinfo(np.int64).max
+
+    def level(self, rows, remaining: int, frontier: list, fused: bool = False) -> None:
+        # One level over the parents `rows`, n by n: each block's feasible
+        # children join `found` and, while levels remain, those that may lead
+        # to one join `frontier`.  Fused, the level is the second-to-last,
+        # and the last runs on its frontier at each n boundary.
+        for n in range(1, self.query.n_max + 1):
             # the gate: a child dearer than the threshold ranks after `top`
             # rows found; it passes every row until `top` rows exist
-            gate = rows[1] <= threshold // (n + 1)
+            gate = rows[1] <= self.threshold // (n + 1)
             if not gate.any():
                 break  # the cut only falls as n grows
             passed = rows if gate.all() else tuple(col[gate] for col in rows)
@@ -369,24 +397,59 @@ def _feasible_rows(query: OptimizationQuery, top: int | None) -> list[tuple[np.n
                 parents = passed
                 if size > BLOCK_ROWS:
                     parents = tuple(col[lo:lo + BLOCK_ROWS] for col in passed)
-                _expand_block(query, parents, n, remaining, threshold, found, frontier)
-            if top is not None and sum(len(f[1]) for f in found) >= top:
-                # read after every block of this n, so the threshold is the same
-                # at any block size; no name holds the joined costs
-                cut = np.partition(np.concatenate([f[1] for f in found]), top - 1)[top - 1]
-                if cut < threshold:
-                    threshold = int(cut)
-                    # trim the rows made before the threshold fell, each part
-                    # freed once replaced (see _expand_block)
-                    for i, part in enumerate(frontier):
-                        frontier[i] = tuple(col[part[1] <= threshold // 2] for col in part)
+                _expand_block(
+                    self.query, parents, n, remaining, self.threshold, self.found, frontier
+                )
+            self._cut(frontier)
+            if fused:
+                self.last_level(frontier)
 
-        if not remaining or not any(len(f[0]) for f in frontier):
-            break  # no level follows, or no row passes on to it
-        columns = list(zip(*frontier))  # each column's parts freed once joined
-        frontier.clear()
-        rows = tuple(np.concatenate(columns.pop(0)) for _ in range(len(columns)))
-    return found
+    def _cut(self, frontier: list) -> None:
+        # The threshold after an n, read from every row found so far, so it
+        # is the same at any block size.  When it falls, the rows made before
+        # are trimmed, each part freed once replaced (see _expand_block).
+        top = self.top
+        if top is None or sum(len(f[1]) for f in self.found) < top:
+            return
+        # no name holds the joined costs
+        cut = np.partition(np.concatenate([f[1] for f in self.found]), top - 1)[top - 1]
+        if cut < self.threshold:
+            self.threshold = int(cut)
+            for i, part in enumerate(frontier):
+                frontier[i] = tuple(col[part[1] <= self.threshold // 2] for col in part)
+
+    def last_level(self, frontier: list, final: bool = False) -> None:
+        # The last level on the frontier's rows, in passes of FUSE_ROWS.
+        # Unless `final`, the rows short of a pass stay in the frontier,
+        # trimmed by the threshold the passes leave.
+        size = sum(len(part[1]) for part in frontier)
+        end = size if final else size - size % FUSE_ROWS
+        if not end:
+            return
+        rows = _join(frontier)
+        for lo in range(0, end, FUSE_ROWS):
+            self.level(tuple(col[lo:lo + FUSE_ROWS] for col in rows), 0, frontier)
+        if end < size:
+            keep = rows[1][end:] <= self.threshold // 2
+            frontier.append(tuple(col[end:][keep] for col in rows))
+
+
+def _feasible_rows(query: OptimizationQuery, top: int | None) -> list[tuple[np.ndarray, ...]]:
+    # The search itself (see search_schedules): every feasible row it finds,
+    # unranked, as row sets.  The first level's one parent is the query's init.
+    frontier = [(
+        np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.int64),
+        np.array([query.init.eta], dtype=np.float64),
+        np.array([query.init.dcr], dtype=np.float64),
+    )]
+    search = _Search(query, top, frontier[0])
+    for remaining in reversed(range(1, query.max_levels)):  # the levels before the last
+        if not any(len(part[1]) for part in frontier):
+            break  # no row passes on to this level
+        # the frontier's parts are joined, and freed, before this level's work
+        search.level(_join(frontier), remaining, frontier, fused=remaining == 1)
+    search.last_level(frontier, final=True)
+    return search.found
 
 
 def pareto_front(results: SearchResult) -> SearchResult:
@@ -407,26 +470,32 @@ def pareto_front(results: SearchResult) -> SearchResult:
     eta >= e, and the cost of the first row kept with exactly that pair.
     """
     # Left-aligned, the codes compare like the encodings as tuples: config
-    # indices start at 1, so a schedule sorts before its extensions.  A
-    # code's level count is its byte count, the byte shifts that leave it nonzero.
-    shifts = np.arange(0, 8 * MAX_SEARCH_LEVELS, 8, dtype=np.uint64)
-    levels = np.count_nonzero(results.codes[:, None] >> shifts, axis=1)
-    shift = (8 * (MAX_SEARCH_LEVELS - levels)).astype(np.uint64)
-    order = np.lexsort((results.codes << shift, results.dcr, -results.eta, results.costs))
+    # indices start at 1, so a schedule sorts before its extensions.  A code
+    # is shifted up a byte while its top byte is 0, at most 5 times.
+    aligned = results.codes.copy()
+    top_byte = np.uint64(1 << 8 * (MAX_SEARCH_LEVELS - 1))
+    for _ in range(MAX_SEARCH_LEVELS - 1):
+        np.left_shift(aligned, np.uint64(8), out=aligned, where=aligned < top_byte)
+    order = np.lexsort((aligned, results.dcr, -results.eta, results.costs))
+    del aligned
     rows: list[int] = []
     etas: list[float] = []
     dcrs: list[float] = []
     costs: list[int] = []
-    columns = (results.costs[order], results.eta[order], results.dcr[order])
-    for i, c, e, d in zip(order.tolist(), *(col.tolist() for col in columns)):
-        s = bisect_left(etas, e)
-        if s < len(etas) and dcrs[s] <= d:
-            if dcrs[s] < d or etas[s] > e or costs[s] < c:
-                continue  # dominated
-        else:
-            # the new step replaces those it matches or beats on both axes
-            lo = bisect_left(dcrs, d, 0, s)
-            hi = s + (s < len(etas) and etas[s] == e)
-            etas[lo:hi], dcrs[lo:hi], costs[lo:hi] = [e], [d], [c]
-        rows.append(i)
+    # the ranked order read a chunk at a time, so at most a chunk's rows are
+    # held as Python objects
+    for start in range(0, len(order), PARETO_ROWS):
+        chunk = order[start:start + PARETO_ROWS]
+        columns = (results.costs[chunk], results.eta[chunk], results.dcr[chunk])
+        for i, c, e, d in zip(chunk.tolist(), *(col.tolist() for col in columns)):
+            s = bisect_left(etas, e)
+            if s < len(etas) and dcrs[s] <= d:
+                if dcrs[s] < d or etas[s] > e or costs[s] < c:
+                    continue  # dominated
+            else:
+                # the new step replaces those it matches or beats on both axes
+                lo = bisect_left(dcrs, d, 0, s)
+                hi = s + (s < len(etas) and etas[s] == e)
+                etas[lo:hi], dcrs[lo:hi], costs[lo:hi] = [e], [d], [c]
+            rows.append(i)
     return results._take(np.array(rows, dtype=np.intp))

@@ -2,7 +2,6 @@
 
 import random
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +23,8 @@ from espd import (
 )
 from espd import binomial, bounds
 from espd.bounds import GRID_MAX
+
+from conftest import traced_peak
 
 
 def full_table_decision_poly(a, n, k, x):
@@ -303,12 +304,7 @@ class TestFindFixedPoints:
     def test_scan_memory_independent_of_grid(self):
         # tracemalloc peak at grid 100,000: 6.71 MiB with the gains held in
         # grid-length lists, 0.00 MiB with one pass holding only the roots
-        tracemalloc.start()
-        try:
-            report = find_fixed_points(0.98, 0.97, 4, 2, grid=100_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(find_fixed_points, 0.98, 0.97, 4, 2, grid=100_000)
         assert report.roots
         assert peak < 2**20
 

@@ -8,7 +8,6 @@ import json
 import math
 import os
 import stat
-import tracemalloc
 from unittest import mock
 
 import pytest
@@ -17,6 +16,8 @@ from hypothesis import strategies as st
 
 from espd import cli
 from espd.cli import main
+
+from conftest import traced_peak
 
 
 def write_config(path, **overrides):
@@ -372,15 +373,11 @@ class TestOptimize:
         import espd.optimize  # noqa: F401 -- numpy's import is not the command's
 
         out = tmp_path / "s.csv"
-        tracemalloc.start()
-        try:
-            code = main(
-                ["optimize", "--de-target", "0.93", "--dcr-target", "1e-9", "--top", "0",
-                 "--max-levels", "4", "--n-max", "8", "--out", str(out)]
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(
+            main,
+            ["optimize", "--de-target", "0.93", "--dcr-target", "1e-9", "--top", "0",
+             "--max-levels", "4", "--n-max", "8", "--out", str(out)],
+        )
         assert code == 0
         assert len(out.read_bytes().splitlines()) == 1 + 37_546
         assert peak < 10 * 2**20

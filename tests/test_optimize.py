@@ -2,7 +2,6 @@
 
 import functools
 import math
-import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -29,6 +28,8 @@ from espd import _kernels, optimize
 from espd.dynamics import level_figures
 from espd.golden import schedule_label
 from espd.optimize import MAX_SEARCH_N, _dcr_floor, _screen
+
+from conftest import traced_peak
 
 BASELINE = ComponentParams(p=0.98, P_act=0.97, Q_err=0.002)
 SEED = DetectorPerformance(0.59, 1e-2)
@@ -151,12 +152,7 @@ class TestSearchSchedules:
         # Full listing at the reference targets contains the constant (8,4)
         # schedule, landing on the known plateau.
         query = OptimizationQuery(SEED, BASELINE, 0.93, 1e-9, max_levels=4, n_max=8)
-        tracemalloc.start()
-        try:
-            results = search_schedules(query, top=None)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        results, peak = traced_peak(search_schedules, query, top=None)
         # The search's own peak: 95.5 MiB when each level was first copied whole
         # into level-wide arrays, 36.5 MiB with each config's rows filtered as
         # the kernel returns them, 25.6 MiB with the last level screened, and
@@ -179,17 +175,12 @@ class TestSearchSchedules:
         # while the previous level's frontier parts were still held; 14.2 MiB
         # with the probabilities per block and the parts freed first.
         query = OptimizationQuery(SEED, BASELINE, 0.93, 1e-9, max_levels=4, n_max=10)
-        tracemalloc.start()
-        try:
-            results = search_schedules(query, top=None)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        results, peak = traced_peak(search_schedules, query, top=None)
         assert len(results) == 118_137
         assert peak < 18 * 2**20
 
     @pytest.mark.parametrize(
-        "max_levels,top,limit_mib", [(4, 50, 6), (5, 1000, 7)],
+        "max_levels,top,limit_mib", [(4, 50, 3), (5, 1000, 7)],
         ids=["search-top", "top-1000-of-5-levels"],
     )
     def test_top_search_memory(self, max_levels, top, limit_mib):
@@ -199,18 +190,26 @@ class TestSearchSchedules:
         # search-top query, whose last frontier held 97,249 rows and then
         # 3,111; 18.8 and 6.1 MiB on the 1,000 cheapest of up to five levels,
         # and 8.0 MiB there with the rows dropped as they are made but no
-        # trim when the threshold falls.
+        # trim when the threshold falls.  With the last level run on level
+        # 3's children at its n boundaries, search-top's level 3 no longer
+        # makes its children at every n with no threshold: 2.33 MiB.
         query = OptimizationQuery(
             SEED, BASELINE, 0.93, 1e-9, max_levels=max_levels, n_max=12
         )
-        tracemalloc.start()
-        try:
-            results = search_schedules(query, top=top)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        results, peak = traced_peak(search_schedules, query, top=top)
         assert len(results) == top
         assert peak < limit_mib * 2**20
+
+    def test_full_listing_memory_at_five_levels(self):
+        # The search's own peak on a 469,191-row listing: 35.0 MiB with the
+        # last level's 569,775 parents joined whole and the found rows joined
+        # and ranked whole; 22.2 MiB with the last level run on those parents
+        # at each n boundary of level 4, and the columns joined and taken one
+        # at a time.
+        query = OptimizationQuery(SEED, BASELINE, 0.93, 1e-9, max_levels=5, n_max=7)
+        results, peak = traced_peak(search_schedules, query, top=None)
+        assert len(results) == 469_191
+        assert peak < 26 * 2**20
 
     def test_last_level_parents_held_once_while_joined(self):
         # No row is feasible, so the peak is the join of the 552,605
@@ -218,12 +217,7 @@ class TestSearchSchedules:
         # all held until every column was joined, 22.5 MiB with each
         # column's parts freed once that column is joined.
         query = OptimizationQuery(SEED, BASELINE, 0.97, 1e-12, max_levels=5, n_max=7)
-        tracemalloc.start()
-        try:
-            results = search_schedules(query, top=None)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        results, peak = traced_peak(search_schedules, query, top=None)
         assert len(results) == 0
         assert peak < 28 * 2**20
 
@@ -233,12 +227,7 @@ class TestSearchSchedules:
         # held while their joined rows are ranked, 7.6 MiB with them freed
         # once joined.
         query = OptimizationQuery(SEED, BASELINE, 0.0, 1.0, max_levels=5, n_max=4)
-        tracemalloc.start()
-        try:
-            results = search_schedules(query, top=None)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        results, peak = traced_peak(search_schedules, query, top=None)
         assert len(results) == 111_110
         assert peak < 9 * 2**20
 
@@ -342,28 +331,25 @@ class TestCostPrune:
 
     def test_gate_updates_within_a_level(self, monkeypatch):
         # On the search-top query only 4 rows are feasible within two levels,
-        # so level 3 starts with no threshold and its n = 1 call gets the
-        # whole frontier.  The rows its small n find must already shrink
-        # what its larger n pass to the kernel; a threshold frozen at the
-        # start of each level passes the whole frontier at every n there.
+        # so level 3 starts with no threshold, and its n = 1 and 2 get its
+        # whole frontier.  The last level, run on level 3's children at its n
+        # boundaries, then finds the first 50 rows, so level 3's larger n
+        # must pass fewer parents; a threshold frozen at the start of each
+        # level passes the whole frontier at every n there.
         query = OptimizationQuery(SEED, BASELINE, 0.93, 1e-9, max_levels=4, n_max=12)
-        calls = []  # (level, n, rows) of every kernel call
-        kernel = _kernels.level_map_batch
+        parents = {}  # (levels still to come, n): parents passed, over every block
+        expand = optimize._expand_block
 
-        def spy(eta, *args):
-            n = args[4]
-            level = calls[-1][0] + (n <= calls[-1][1]) if calls else 1
-            calls.append((level, n, len(eta)))
-            return kernel(eta, *args)
+        def spy(query, rows, n, remaining, *args):
+            parents[remaining, n] = parents.get((remaining, n), 0) + len(rows[1])
+            return expand(query, rows, n, remaining, *args)
 
-        monkeypatch.setattr(_kernels, "level_map_batch", spy)
+        monkeypatch.setattr(optimize, "_expand_block", spy)
         assert len(search_schedules(query, top=50)) == 50
-        level3 = {n: rows for level, n, rows in calls if level == 3}
+        level3 = {n: rows for (remaining, n), rows in parents.items() if remaining == 1}
         assert len(level3) == query.n_max  # this query's gate stops no level early
-        frontier = level3[1]
-        assert all(rows < frontier for n, rows in level3.items() if n >= 6)
-        # state-thresholds evaluated: 722,592 without the gate, 114,358 with it
-        assert sum(rows * n for _, n, rows in calls) <= 120_000
+        assert level3[1] == level3[2] == 6_074
+        assert all(rows < level3[1] for n, rows in level3.items() if n > 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -477,9 +463,9 @@ class TestScreen:
         "max_levels,n_max,top,expected",
         [
             (4, 8, None, (53, 117_923, 414_698)),
-            (4, 12, 50, (45, 32_760, 107_004)),
-            (5, 12, 1000, (65, 138_063, 409_261)),
-            (4, 12, 1000, (45, 52_943, 236_742)),
+            (4, 12, 50, (51, 22_301, 53_116)),
+            (5, 12, 1000, (72, 136_774, 403_043)),
+            (4, 12, 1000, (65, 59_682, 214_884)),
             (4, 8, 37_546, (53, 117_923, 414_698)),
             (4, 8, 10**6, (53, 117_923, 414_698)),
         ],
@@ -494,13 +480,15 @@ class TestScreen:
         # queries without the screen, and 419,000 on search-all with one
         # screen of the whole last level per n, not one per block; a looser
         # screen sends more.  Dropping the rows the cost gate can never pass
-        # from the frontiers moves none of the three.  The 4-level top-1000
-        # query's last-level gate passes 44,418, 19,395 and 9,745 parents at
-        # n = 1, 2 and 3, so its gated subsets span several blocks with more
-        # than one threshold: the one case in which the frontier's row order
-        # could change which thresholds a block's call evaluates.  A `top` of
-        # at least search-all's 37,546 rows never cuts before the search ends,
-        # so it does exactly the full listing's work.
+        # from the frontiers moves none of the three.  With the last level
+        # held back until the second-to-last had made all its children, the
+        # three `top` queries below sent 107,004, 409,261 and 236,742; run on
+        # those children in passes of FUSE_ROWS at each n boundary, the last
+        # level sets the threshold sooner.  Passes of 8,192 rows sent 346,919
+        # on the 4-level top-1000 query, whose gated subsets span several
+        # blocks with more than one threshold.  A `top` of at least
+        # search-all's 37,546 rows never cuts before the search ends, so it
+        # does exactly the full listing's work.
         query = OptimizationQuery(
             SEED, BASELINE, 0.93, 1e-9, max_levels=max_levels, n_max=n_max
         )
@@ -755,6 +743,19 @@ class TestParetoFront:
             key=lambda r: (r.cost, -r.final.eta, r.final.dcr, _encode(r)),
         )
         assert list(pareto_front(pool)) == expected
+
+    def test_front_memory_of_a_large_listing(self):
+        # pareto_front's own peak on a 469,191-row listing (its columns are
+        # 14.3 MiB): 86.1 MiB with every row of the ranked order held as
+        # Python objects and the codes' level counts read from a rows x 6
+        # table, 10.8 MiB with the order read a chunk at a time and the codes
+        # aligned in place.
+        listing = _full_listing(
+            OptimizationQuery(SEED, BASELINE, 0.93, 1e-9, max_levels=5, n_max=7)
+        )
+        front, peak = traced_peak(pareto_front, listing)
+        assert len(listing) == 469_191 and len(front) == 10_031
+        assert peak < 16 * 2**20
 
     def test_reference_three_level_prefixes(self):
         # Three known schedules truncated at level 3 all reach the same

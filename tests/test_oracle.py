@@ -1,7 +1,6 @@
 """Oracle tests: enumeration vs. closed form, Monte Carlo determinism."""
 
 import math
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -17,6 +16,8 @@ from espd import (
     oracle_report,
 )
 from espd import _kernels, oracle
+
+from conftest import traced_peak
 
 BASELINE = ComponentParams(p=0.98, P_act=0.97, Q_err=0.002)
 
@@ -162,12 +163,7 @@ class TestMonteCarlo:
         # each block ran exactly once with its own size.
         monkeypatch.setattr(_kernels, "mc_block", lambda state0, size, *args: (size, 0))
         det, cfg = DetectorPerformance(0.59, 1e-2), LevelConfig(4, 1)
-        tracemalloc.start()
-        try:
-            got = mc_level(det, BASELINE, cfg, 10**9, 1, threads=threads)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = traced_peak(mc_level, det, BASELINE, cfg, 10**9, 1, threads=threads)
         assert got == (1.0, 0.0, 0.0, 0.0)
         assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
 
@@ -306,12 +302,7 @@ class TestMcBlock:
 
     def test_full_block_memory_bounded(self):
         args = (64, 30, 0.995, 0.6, GRID, 0.95, 0.01)
-        tracemalloc.start()
-        try:
-            _kernels.mc_block(_kernels.mix64(5), oracle.MC_BLOCK_TRIALS, *args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(_kernels.mc_block, _kernels.mix64(5), oracle.MC_BLOCK_TRIALS, *args)
         assert peak <= 16e6, f"peak {peak / 1e6:.1f} MB"
 
 
@@ -411,3 +402,41 @@ class TestOracleReport:
                             100_000, 42)
         assert rep.mc_ok is False
         assert rep.enum_ok is (route == "mc_level")
+
+    @staticmethod
+    def _tail_cases(seed, count):
+        # the paper's dark-count regime: d log-uniform down to 1e-30, and only
+        # the cases whose closed-form DCR is below 1e-12, where the absolute
+        # bound of 1e-12 checks nothing
+        rng = np.random.default_rng(seed)
+        cases = []
+        while len(cases) < count:
+            det = DetectorPerformance(rng.uniform(0, 1), 10 ** rng.uniform(-30, -1))
+            params = ComponentParams(*rng.uniform(0.5, 1, 2), 10 ** rng.uniform(-6, -1))
+            n = int(rng.integers(1, 13))
+            cfg = LevelConfig(n, int(rng.integers(1, n + 1)))
+            if level_map(det, params, cfg).dcr < 1e-12:
+                cases.append((det, params, cfg))
+        return cases
+
+    def test_routes_agree_relatively_in_the_dark_count_tail(self):
+        for det, params, cfg in self._tail_cases(31, 300):
+            rep = oracle_report(det, params, cfg, 100, 1)
+            assert rep.enum_ok is True, (det, params, cfg)
+            for closed, enum in ((rep.closed_de, rep.enum_de), (rep.closed_dcr, rep.enum_dcr)):
+                bound = oracle.ENUM_REL_TOL * max(closed, enum) + oracle.ENUM_FLOOR
+                assert abs(closed - enum) <= bound, (det, params, cfg)
+
+    def test_closed_form_off_in_the_tail_fails_verdict(self, monkeypatch):
+        # a DCR off by 1e-6 relative is within 1e-12 absolute below 1e-12
+        real = oracle.level_map
+
+        def scaled(*args):
+            out = real(*args)
+            return out._replace(dcr=out.dcr * (1.0 + 1e-6))
+
+        monkeypatch.setattr(oracle, "level_map", scaled)
+        for det, params, cfg in self._tail_cases(32, 20):
+            rep = oracle_report(det, params, cfg, 100, 1)
+            assert rep.enum_abs_err_dcr <= 1e-12
+            assert rep.enum_ok is False, (det, params, cfg)
