@@ -4,11 +4,13 @@ The search enumerates every schedule of length 1..max_levels over the
 per-level configs {(n, k): 1 <= k <= n <= n_max}, breadth-first with the
 batch level-map kernel, and returns the schedules meeting the efficiency /
 dark-count targets ranked by detection cost.  Cost is the total number of
-base detections, the product of (n_l + 1) over the levels.  Each level
-expands the frontier n by n, over consecutive blocks of at most
-``BLOCK_ROWS`` parents, with at most one kernel call per block, which
-evaluates the thresholds k of that n in one pass: every threshold at the
-inner levels, the ones the block's screen passes at the last.
+base detections, the product of (n_l + 1) over the levels.  The search is
+one level, applied again and again as the enhancement is: a level expands
+its parents n by n, over consecutive blocks of at most ``BLOCK_ROWS``
+parents, with at most one kernel call per block, which evaluates the
+thresholds k of that n in one pass: every threshold at the inner levels,
+the ones the block's screen passes at the last.  The children a level
+keeps, its frontier, are the next level's parents.
 
 Three prunes keep the tree manageable without touching exactness:
 
@@ -45,12 +47,12 @@ join the results, and only its rows above the dark-count floor with
 every unfiltered row, and no screen or kernel call builds tables for more
 than one block, nor starts while the previous block's arrays are held: a
 level's working memory beyond its frontier and its filtered rows is set
-by ``BLOCK_ROWS``, not by the frontier.  A frontier is joined column by
-column, each column's parts freed once joined, so the next level's
-parents are held about once.  The last level's parents are never held
-whole: at each n boundary of the second-to-last level, the last level runs
-on the children made so far, in passes of ``FUSE_ROWS`` rows, and the
-rows short of a pass wait for the next boundary, or the level's end.
+by ``BLOCK_ROWS``, not by the frontier.  A level frees its parents, and
+then joins its frontier column by column, each column's parts freed once
+joined, so the next level's parents are held about once.  The last
+level's parents are never held whole: at each n boundary of the
+second-to-last level, the last runs on the children made so far, in
+passes of ``FUSE_ROWS`` rows; the rest wait for the next n or the end.
 The ranking joins the feasible rows, and then takes the ranked order, a
 column at a time.  The level map is elementwise, so the values do not
 depend on the blocks or passes, and the threshold is read after every n
@@ -291,21 +293,29 @@ def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchRe
     `top`-th least feasible cost found so far; until `top` feasible rows
     exist, and for a full listing, no cost reaches it.  It is updated
     after every n, so the larger n of a level already see the rows its
-    smaller n found.  The last level runs on the second-to-last level's
-    children at each of that level's n boundaries, in passes of
-    ``FUSE_ROWS`` rows, so its rows lower the threshold for the larger n of
-    the level before.  At the last level the screen sees the parents the
-    gate passes, and the kernel gets those of them that can meet both
-    targets at some threshold (see the module docstring).  Every screen
-    and kernel call runs on one block of at most ``BLOCK_ROWS`` parents;
-    the result does not depend on the block or pass size.
+    smaller n found.  The search is one level that, when it ends, hands the
+    children it kept to the next level as parents.  The second-to-last level
+    also runs the last on its children at each of its n boundaries, in
+    passes of ``FUSE_ROWS`` rows, so the last level's rows lower the
+    threshold for its larger n.  At the last level the screen sees the
+    parents the gate passes, and the kernel gets those of them that can
+    meet both targets at some threshold (see the module docstring).  Every
+    screen and kernel call runs on one block of at most ``BLOCK_ROWS``
+    parents; the result does not depend on the block or pass size.
     """
     if top is not None:
         check_int("top", top, 1)
     configs = tuple(
         LevelConfig(n, k) for n in range(1, query.n_max + 1) for k in range(1, n + 1)
     )
-    codes, costs, eta, dcr = columns = _join(_feasible_rows(query, top))
+    # the first level's one parent: the query's init, at code 0 and cost 1
+    init = (
+        np.zeros(1, np.uint64), np.ones(1, np.int64),
+        np.array([query.init.eta], np.float64), np.array([query.init.dcr], np.float64),
+    )
+    search = _Search(query, top, init)
+    search.level(init, query.max_levels - 1)
+    codes, costs, eta, dcr = columns = _join(search.found)
     # Rank by cost, dcr, -eta, then the code, which sorts by length, then
     # encoding: a longer code is larger, its top byte being an index >= 1,
     # and within one length the code sorts like the encoding, since configs
@@ -315,45 +325,6 @@ def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchRe
     for i in range(len(columns)):
         columns[i] = columns[i][order]  # each source column freed once taken
     return SearchResult(query.params, configs, *columns)
-
-
-def _expand_block(query, parents, n, remaining, threshold, found, frontier) -> None:
-    # One block of parents at one n: appends each threshold's feasible
-    # children to `found` and, while levels remain, the children that may
-    # lead to one to `frontier`.  Its arrays are freed on return, before the
-    # next block's screen or kernel call.
-    params = query.params
-    ks = range(1, n + 1)
-    if not remaining:
-        # the screen: the kernel gets only the thresholds some parent of the
-        # block may meet both targets at, and only those parents
-        probs = firing_probs(parents[2], parents[3], params.P_act, params.Q_err)
-        passes = [
-            (c >= query.de_target) & (d <= query.dcr_target) for c, d in _screen(probs, params, n)
-        ]
-        ks = [k for k in ks if passes[k - 1].any()]
-        if not ks:
-            return
-        sel = np.logical_or.reduce(passes)
-        if not sel.all():
-            parents = tuple(col[sel] for col in parents)
-    codes, costs, eta, dcr = parents
-    # the block's thresholds of one n, in one kernel call, in k order
-    figures = _kernels.level_map_batch(eta, dcr, params.p, params.P_act, params.Q_err, n, ks)
-    shifted, cost2 = codes << np.uint64(8), costs * (n + 1)
-    # The gate passes a child on only at cost * (n' + 1) <= threshold, and the
-    # threshold only falls: a child dearer than the gate at n' = 1,
-    # threshold // 2, never passes, nor does any extension of it (ties pass).
-    cheap = cost2 <= threshold // 2
-    for k, (e2, d2) in zip(ks, figures):
-        # config (n, k)'s code byte: its 1-based index in the (n, k)-ordered table
-        children = (shifted | np.uint64(n * (n - 1) // 2 + k), cost2, e2, d2)
-        feas = (e2 >= query.de_target) & (d2 <= query.dcr_target)
-        if feas.any():
-            found.append(tuple(col[feas] for col in children))
-        if remaining:
-            keep = cheap & (_dcr_floor(d2, query.n_max, remaining) <= query.dcr_target)
-            frontier.append(tuple(col[keep] for col in children))
 
 
 def _join(row_sets: list) -> list[np.ndarray]:
@@ -376,12 +347,14 @@ class _Search:
         # the `top`-th least feasible cost found so far, and until then (or
         # without `top`) above every cost, which is at most 13**6
         self.threshold = np.iinfo(np.int64).max
+        self.cut_sets = len(self.found)  # the row sets of `found` the last cut read
 
-    def level(self, rows, remaining: int, frontier: list, fused: bool = False) -> None:
-        # One level over the parents `rows`, n by n: each block's feasible
-        # children join `found` and, while levels remain, those that may lead
-        # to one join `frontier`.  Fused, the level is the second-to-last,
-        # and the last runs on its frontier at each n boundary.
+    def level(self, rows, remaining: int) -> None:
+        # One level over the parents `rows`, `remaining` levels before the
+        # last: feasible children join `found` and, while levels remain,
+        # those that may lead to one join the frontier, the next level's
+        # parents.  The second-to-last also runs the last at each n boundary.
+        frontier = []
         for n in range(1, self.query.n_max + 1):
             # the gate: a child dearer than the threshold ranks after `top`
             # rows found; it passes every row until `top` rows exist
@@ -397,19 +370,63 @@ class _Search:
                 parents = passed
                 if size > BLOCK_ROWS:
                     parents = tuple(col[lo:lo + BLOCK_ROWS] for col in passed)
-                _expand_block(
-                    self.query, parents, n, remaining, self.threshold, self.found, frontier
-                )
+                self._expand_block(parents, n, remaining, frontier)
             self._cut(frontier)
-            if fused:
-                self.last_level(frontier)
+            if remaining == 1:
+                self._last_level(frontier)
+        if any(len(part[1]) for part in frontier):
+            del rows, passed, parents  # bound, as a block ran; freed first
+            self.level(_join(frontier), remaining - 1)
+
+    def _expand_block(self, parents, n: int, remaining: int, frontier: list) -> None:
+        # One block of parents at one n: appends each threshold's feasible
+        # children to `found` and, while levels remain, the children that may
+        # lead to one to `frontier`.  Its arrays are freed on return, before the
+        # next block's screen or kernel call.
+        query, params = self.query, self.query.params
+        ks = range(1, n + 1)
+        if not remaining:
+            # the screen: the kernel gets only the thresholds some parent of the
+            # block may meet both targets at, and only those parents
+            probs = firing_probs(parents[2], parents[3], params.P_act, params.Q_err)
+            passes = [
+                (c >= query.de_target) & (d <= query.dcr_target)
+                for c, d in _screen(probs, params, n)
+            ]
+            ks = [k for k in ks if passes[k - 1].any()]
+            if not ks:
+                return
+            sel = np.logical_or.reduce(passes)
+            if not sel.all():
+                parents = tuple(col[sel] for col in parents)
+        codes, costs, eta, dcr = parents
+        # the block's thresholds of one n, in one kernel call, in k order
+        figures = _kernels.level_map_batch(eta, dcr, params.p, params.P_act, params.Q_err, n, ks)
+        shifted, cost2 = codes << np.uint64(8), costs * (n + 1)
+        # The gate passes a child on only at cost * (n' + 1) <= threshold, and the
+        # threshold only falls: a child dearer than the gate at n' = 1,
+        # threshold // 2, never passes, nor does any extension of it (ties pass).
+        cheap = cost2 <= self.threshold // 2
+        for k, (e2, d2) in zip(ks, figures):
+            # config (n, k)'s code byte: its 1-based index in the (n, k)-ordered table
+            children = (shifted | np.uint64(n * (n - 1) // 2 + k), cost2, e2, d2)
+            feas = (e2 >= query.de_target) & (d2 <= query.dcr_target)
+            if feas.any():
+                self.found.append(tuple(col[feas] for col in children))
+            if remaining:
+                keep = cheap & (_dcr_floor(d2, query.n_max, remaining) <= query.dcr_target)
+                frontier.append(tuple(col[keep] for col in children))
 
     def _cut(self, frontier: list) -> None:
         # The threshold after an n, read from every row found so far, so it
         # is the same at any block size.  When it falls, the rows made before
         # are trimmed, each part freed once replaced (see _expand_block).
+        # Without a row set found since the last cut, the cut is as it was.
         top = self.top
-        if top is None or sum(len(f[1]) for f in self.found) < top:
+        if top is None or len(self.found) == self.cut_sets:
+            return
+        self.cut_sets = len(self.found)
+        if sum(len(f[1]) for f in self.found) < top:
             return
         # no name holds the joined costs
         cut = np.partition(np.concatenate([f[1] for f in self.found]), top - 1)[top - 1]
@@ -418,38 +435,20 @@ class _Search:
             for i, part in enumerate(frontier):
                 frontier[i] = tuple(col[part[1] <= self.threshold // 2] for col in part)
 
-    def last_level(self, frontier: list, final: bool = False) -> None:
-        # The last level on the frontier's rows, in passes of FUSE_ROWS.
-        # Unless `final`, the rows short of a pass stay in the frontier,
-        # trimmed by the threshold the passes leave.
+    def _last_level(self, frontier: list) -> None:
+        # The last level on the frontier's rows, in whole passes of FUSE_ROWS.
+        # The rows short of a pass stay in the frontier, trimmed by the
+        # threshold the passes leave, for the next n or the level's end.
         size = sum(len(part[1]) for part in frontier)
-        end = size if final else size - size % FUSE_ROWS
+        end = size - size % FUSE_ROWS
         if not end:
             return
         rows = _join(frontier)
         for lo in range(0, end, FUSE_ROWS):
-            self.level(tuple(col[lo:lo + FUSE_ROWS] for col in rows), 0, frontier)
+            self.level(tuple(col[lo:lo + FUSE_ROWS] for col in rows), 0)
         if end < size:
             keep = rows[1][end:] <= self.threshold // 2
             frontier.append(tuple(col[end:][keep] for col in rows))
-
-
-def _feasible_rows(query: OptimizationQuery, top: int | None) -> list[tuple[np.ndarray, ...]]:
-    # The search itself (see search_schedules): every feasible row it finds,
-    # unranked, as row sets.  The first level's one parent is the query's init.
-    frontier = [(
-        np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.int64),
-        np.array([query.init.eta], dtype=np.float64),
-        np.array([query.init.dcr], dtype=np.float64),
-    )]
-    search = _Search(query, top, frontier[0])
-    for remaining in reversed(range(1, query.max_levels)):  # the levels before the last
-        if not any(len(part[1]) for part in frontier):
-            break  # no row passes on to this level
-        # the frontier's parts are joined, and freed, before this level's work
-        search.level(_join(frontier), remaining, frontier, fused=remaining == 1)
-    search.last_level(frontier, final=True)
-    return search.found
 
 
 def pareto_front(results: SearchResult) -> SearchResult:

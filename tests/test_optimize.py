@@ -24,7 +24,7 @@ from espd import (
     resource_cost,
     search_schedules,
 )
-from espd import _kernels, optimize
+from espd import _kernels, optimize, oracle
 from espd.dynamics import level_figures
 from espd.golden import schedule_label
 from espd.optimize import MAX_SEARCH_N, _dcr_floor, _screen
@@ -338,13 +338,13 @@ class TestCostPrune:
         # level passes the whole frontier at every n there.
         query = OptimizationQuery(SEED, BASELINE, 0.93, 1e-9, max_levels=4, n_max=12)
         parents = {}  # (levels still to come, n): parents passed, over every block
-        expand = optimize._expand_block
+        expand = optimize._Search._expand_block
 
-        def spy(query, rows, n, remaining, *args):
+        def spy(search, rows, n, remaining, *args):
             parents[remaining, n] = parents.get((remaining, n), 0) + len(rows[1])
-            return expand(query, rows, n, remaining, *args)
+            return expand(search, rows, n, remaining, *args)
 
-        monkeypatch.setattr(optimize, "_expand_block", spy)
+        monkeypatch.setattr(optimize._Search, "_expand_block", spy)
         assert len(search_schedules(query, top=50)) == 50
         level3 = {n: rows for (remaining, n), rows in parents.items() if remaining == 1}
         assert len(level3) == query.n_max  # this query's gate stops no level early
@@ -573,6 +573,89 @@ class TestBlocks:
             assert getattr(got, column).tobytes() == getattr(whole, column).tobytes(), column
         assert max(calls) <= block
         assert sum(calls) == sum(whole_calls)
+
+
+class TestPasses:
+    """The search's rows do not depend on FUSE_ROWS, nor the front on PARETO_ROWS."""
+
+    QUERIES = [
+        OptimizationQuery(NOISY, BASELINE, 0.3, 0.1, max_levels=3, n_max=6),
+        # P_act < Q_err
+        OptimizationQuery(
+            DetectorPerformance(0.9, 1e-3), ComponentParams(0.9, 0.3, 0.5), 0.55, 0.74,
+            max_levels=3, n_max=6,
+        ),
+        # the last level's passes run between the n of level 3, after two inner levels
+        OptimizationQuery(SEED, BASELINE, 0.93, 1e-9, max_levels=4, n_max=5),
+    ]
+
+    @staticmethod
+    def _run(monkeypatch, query, top, rows):
+        # the result and the parent count of each kernel call at a pass size
+        monkeypatch.setattr(optimize, "FUSE_ROWS", rows)
+        return TestBlocks._run(monkeypatch, query, top, optimize.BLOCK_ROWS)
+
+    @pytest.mark.parametrize("top", [1, 50, None])
+    @pytest.mark.parametrize("rows", [1, 7, 97])
+    @pytest.mark.parametrize("query", QUERIES, ids=["noisy", "p-act-below-q-err", "four-levels"])
+    def test_passed_search_equals_one_pass(self, monkeypatch, query, rows, top):
+        # At 2**62 rows no n boundary holds a whole pass, so the last level
+        # runs once, on the whole frontier, as the second-to-last level ends.
+        # Smaller passes may lower the threshold sooner, which changes the
+        # `top` searches' work but not their rows; a full listing has no
+        # threshold, so its kernel gets the same parents, only split up.
+        whole, whole_calls = self._run(monkeypatch, query, top, 2**62)
+        got, calls = self._run(monkeypatch, query, top, rows)
+        assert len(whole)
+        for column in ("codes", "costs", "eta", "dcr"):
+            assert getattr(got, column).tobytes() == getattr(whole, column).tobytes(), column
+        if top is None:
+            assert sum(calls) == sum(whole_calls)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("query", QUERIES, ids=["noisy", "p-act-below-q-err", "four-levels"])
+    def test_chunked_front_equals_one_chunk(self, monkeypatch, query, rows):
+        listing = search_schedules(query, top=None)
+        monkeypatch.setattr(optimize, "PARETO_ROWS", 2**62)
+        whole = pareto_front(listing)
+        monkeypatch.setattr(optimize, "PARETO_ROWS", rows)
+        got = pareto_front(listing)
+        assert len(whole)
+        for column in ("codes", "costs", "eta", "dcr"):
+            assert getattr(got, column).tobytes() == getattr(whole, column).tobytes(), column
+
+
+class TestEnumerationRoute:
+    """The search's listed figures agree with the oracle's enumeration.
+
+    The batch kernel shares the level map's code with ``iterate_schedule``;
+    ``oracle.enumerate_level`` sums the vote's outcomes instead, so chaining
+    it along a row's levels checks the search's numbers by an independent
+    route.
+    """
+
+    # Over 300 seeded search-all rows and every search-top row, the worst
+    # gaps were 6.0e-16 (DE) and 3.9e-15 (DCR) relative; 1e-13 is about 25x
+    # the larger, and the oracle's own ENUM_REL_TOL for one level.
+    REL_TOL = 1e-13
+
+    @pytest.mark.parametrize(
+        "n_max,top,sample", [(8, None, 300), (12, 50, None)], ids=["search-all", "search-top"]
+    )
+    def test_chained_enumeration_reproduces_listed_figures(self, n_max, top, sample):
+        query = OptimizationQuery(SEED, BASELINE, 0.93, 1e-9, max_levels=4, n_max=n_max)
+        results = search_schedules(query, top=top)
+        rows = range(len(results))
+        if sample is not None:
+            rows = np.random.default_rng(0).choice(len(results), sample, replace=False)
+        assert len(rows) == (sample or top)
+        for i in rows:
+            r = results[int(i)]
+            det = query.init
+            for config in r.schedule.levels:
+                det = DetectorPerformance(*oracle.enumerate_level(det, BASELINE, config))
+            assert abs(det.eta - r.final.eta) <= self.REL_TOL * r.final.eta, r
+            assert abs(det.dcr - r.final.dcr) <= self.REL_TOL * r.final.dcr, r
 
 
 # the search's config table at MAX_SEARCH_N: code byte c names CONFIGS[c - 1]
