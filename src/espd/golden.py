@@ -48,8 +48,6 @@ __all__ = [
 DE_TOL_PP = 0.1  # DE tolerance, percentage points
 DCR_REL_TOL = 0.10  # DCR tolerance, relative
 
-_LEVELS = 8
-
 # variant -> its per-detector firing probabilities, one (p_pos, q_pos, p_sig, q_sig) tuple
 _VARIANTS = {"exact": firing_probs, "approx": approx_firing_probs}
 
@@ -267,10 +265,8 @@ def evaluate_table(number: int, variant: str = "exact") -> TableReport:
     cells = []
     for series in TABLES[number]:
         rows = series_trajectory(series, variant)
-        for level in range(1, _LEVELS + 1):
-            cfg = series.schedule[level - 1]
-            de_exp, dcr_exp = series.expected[level - 1]
-            perf = rows[level]
+        levels = zip(series.schedule, series.expected, rows[1:])
+        for level, (cfg, (de_exp, dcr_exp), perf) in enumerate(levels, 1):
             de_pct = perf.eta * 100.0
             de_delta = de_pct - de_exp
             dcr_rel = (perf.dcr - dcr_exp) / dcr_exp if dcr_exp != 0.0 else 0.0

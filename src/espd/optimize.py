@@ -16,12 +16,13 @@ Three prunes keep the tree manageable without touching exactness:
 
 * a parent is expanded at n only while its child's cost, cost * (n + 1),
   is at most the threshold (ties are expanded).  When M schedules are
-  requested, the threshold is the M-th least feasible cost found so far;
-  until M feasible rows exist, and for a full listing, no cost reaches
-  it.  A dearer child ranks after M schedules already found, since cost
-  is the first sort key, and its extensions cost more still.  The
-  threshold is updated after each n, inside a level, and the last
-  level's passes lower it while the second-to-last still runs; the gate
+  requested, the search keeps the M least feasible costs found so far,
+  merging in after each n, inside a level, only the costs that n found;
+  once M are kept, the threshold is their largest, and until then, and
+  for a full listing, no cost reaches it.  A dearer child ranks after M
+  schedules already found, since cost is the first sort key, and its
+  extensions cost more still.  The last level's passes lower the
+  threshold while the second-to-last still runs; the gate
   threshold // (n + 1) only falls as n grows, so a level stops at the
   first n that passes no parent.  Nor does a frontier hold a row the gate
   can never pass: a row joins the next frontier only if
@@ -111,12 +112,14 @@ SLACK = 1e-12
 # Absolute margin of the efficiency ceiling: the least normal float, far
 # above what products that underflow can lose in one level map.
 TINY = 2.0**-1022
-# Parent rows per screen and kernel call: each (level, n) runs over
-# consecutive blocks of at most this many of its parents.  Swept from 4,096
-# to 32,768 on `optimize --n-max 8 --top 0`: peak RSS 36.7, 37.0, 40.7 and
-# 47.3 MB (56.2 MB unblocked), with in-process search times within the
-# noise (2-core container, numpy 2.4.6).  4,096 would split the 6,074-row
-# inner level of `--n-max 12 --top 50` into two calls.
+# Parent rows per screen and kernel call (each (level, n) runs over blocks
+# of at most this many of its parents), and ranked rows per chunk that
+# pareto_front reads as Python objects.  Search tracemalloc peaks at 4,096,
+# 8,192 and 16,384: search-all 2.97, 4.38 and 7.19 MiB, search-top 1.50,
+# 2.25 and 3.75 MiB, `--n-max 10 --top 0` 7.21, 9.13 and 12.77 MiB; search
+# times within the noise (2-core container, numpy 2.4.6).  4,096 sends
+# search-all's kernel 78 calls, not 53, and splits search-top's 6,074-row
+# inner level in two.
 BLOCK_ROWS = 8192
 # Rows per pass of the last level over the second-to-last level's children,
 # taken at that level's n boundaries; fewer rows wait for the next one.
@@ -131,8 +134,6 @@ BLOCK_ROWS = 8192
 #   65,536             414,698  107,004  409,261  242,747   4.63 MiB
 # 16,384 is the least that sends no query more work than the whole level.
 FUSE_ROWS = 16384
-# Rows of the ranked order that pareto_front reads as Python objects at a time.
-PARETO_ROWS = 8192
 
 
 class OptimizationQuery(
@@ -337,17 +338,18 @@ def _join(row_sets: list) -> list[np.ndarray]:
 
 class _Search:
     # The search's running state (see search_schedules): the feasible row
-    # sets found, unranked, and the cost gate's threshold.  Every row set is
-    # (codes, costs, eta, dcr), SearchResult's column order.
+    # sets found, unranked, their `top` least costs and the gate's threshold.
+    # Every row set is (codes, costs, eta, dcr), SearchResult's column order.
 
     def __init__(self, query: OptimizationQuery, top: int | None, init: tuple) -> None:
         self.query, self.top = query, top
         # an empty set first gives an empty listing its columns
         self.found = [tuple(col[:0] for col in init)]
+        # the least feasible costs found so far, at most `top` of them
+        self.best = init[1][:0]
         # the `top`-th least feasible cost found so far, and until then (or
         # without `top`) above every cost, which is at most 13**6
         self.threshold = np.iinfo(np.int64).max
-        self.cut_sets = len(self.found)  # the row sets of `found` the last cut read
 
     def level(self, rows, remaining: int) -> None:
         # One level over the parents `rows`, `remaining` levels before the
@@ -363,7 +365,7 @@ class _Search:
                 break  # the cut only falls as n grows
             passed = rows if gate.all() else tuple(col[gate] for col in rows)
             del gate  # the mask is not held while the blocks run
-            size = len(passed[1])
+            size, start = len(passed[1]), len(self.found)
             for lo in range(0, size, BLOCK_ROWS):
                 # a block of every row keeps the same arrays: perfbench/tracer.py
                 # counts one frontier per eta array object
@@ -371,7 +373,7 @@ class _Search:
                 if size > BLOCK_ROWS:
                     parents = tuple(col[lo:lo + BLOCK_ROWS] for col in passed)
                 self._expand_block(parents, n, remaining, frontier)
-            self._cut(frontier)
+            self._cut(self.found[start:], frontier)
             if remaining == 1:
                 self._last_level(frontier)
         if any(len(part[1]) for part in frontier):
@@ -417,21 +419,20 @@ class _Search:
                 keep = cheap & (_dcr_floor(d2, query.n_max, remaining) <= query.dcr_target)
                 frontier.append(tuple(col[keep] for col in children))
 
-    def _cut(self, frontier: list) -> None:
-        # The threshold after an n, read from every row found so far, so it
+    def _cut(self, new: list, frontier: list) -> None:
+        # The threshold after an n, the largest of the `top` least costs
+        # found: `best` keeps them, each row set `new` joining it once, so it
         # is the same at any block size.  When it falls, the rows made before
         # are trimmed, each part freed once replaced (see _expand_block).
-        # Without a row set found since the last cut, the cut is as it was.
         top = self.top
-        if top is None or len(self.found) == self.cut_sets:
+        if top is None or not new:
             return
-        self.cut_sets = len(self.found)
-        if sum(len(f[1]) for f in self.found) < top:
+        self.best = np.concatenate([self.best, *(f[1] for f in new)])
+        if len(self.best) < top:
             return
-        # no name holds the joined costs
-        cut = np.partition(np.concatenate([f[1] for f in self.found]), top - 1)[top - 1]
-        if cut < self.threshold:
-            self.threshold = int(cut)
+        self.best = np.partition(self.best, top - 1)[:top].copy()
+        if self.best[-1] < self.threshold:
+            self.threshold = int(self.best[-1])
             for i, part in enumerate(frontier):
                 frontier[i] = tuple(col[part[1] <= self.threshold // 2] for col in part)
 
@@ -481,10 +482,10 @@ def pareto_front(results: SearchResult) -> SearchResult:
     etas: list[float] = []
     dcrs: list[float] = []
     costs: list[int] = []
-    # the ranked order read a chunk at a time, so at most a chunk's rows are
-    # held as Python objects
-    for start in range(0, len(order), PARETO_ROWS):
-        chunk = order[start:start + PARETO_ROWS]
+    # the ranked order read BLOCK_ROWS rows at a time, so at most that many
+    # rows are held as Python objects
+    for start in range(0, len(order), BLOCK_ROWS):
+        chunk = order[start:start + BLOCK_ROWS]
         columns = (results.costs[chunk], results.eta[chunk], results.dcr[chunk])
         for i, c, e, d in zip(chunk.tolist(), *(col.tolist() for col in columns)):
             s = bisect_left(etas, e)

@@ -351,6 +351,68 @@ class TestCostPrune:
         assert level3[1] == level3[2] == 6_074
         assert all(rows < level3[1] for n, rows in level3.items() if n > 2)
 
+    @pytest.mark.parametrize("n_max,max_levels", [(3, 3), (4, 4)])
+    @pytest.mark.parametrize("targets", [(0.0, 1.0), (0.7, 2e-2), (0.9, 1e-4), (0.93, 1e-9)])
+    @pytest.mark.parametrize("seed", [SEED, NOISY, DetectorPerformance(0.275, 1e-6)])
+    @pytest.mark.parametrize("top", [1, 7, 32, 50, 300, 1000])
+    def test_threshold_is_top_least_found_cost(
+        self, monkeypatch, top, seed, targets, n_max, max_levels
+    ):
+        query = OptimizationQuery(seed, BASELINE, *targets, max_levels=max_levels, n_max=n_max)
+        self._check_thresholds(monkeypatch, query, top)
+
+    @pytest.mark.parametrize("max_levels,top", [(4, 1), (4, 50), (4, 1000), (5, 1000)])
+    def test_threshold_is_top_least_found_cost_at_n_max_12(self, monkeypatch, max_levels, top):
+        query = OptimizationQuery(SEED, BASELINE, 0.93, 1e-9, max_levels=max_levels, n_max=12)
+        self._check_thresholds(monkeypatch, query, top)
+
+    @staticmethod
+    def _check_thresholds(monkeypatch, query, top):
+        # After every cut the kept costs are the `top` least of every row
+        # found, and the threshold is the largest of them, or above every
+        # cost while fewer than `top` rows exist.
+        cut = optimize._Search._cut
+        cuts = 0
+
+        def spy(search, *args):
+            nonlocal cuts
+            cut(search, *args)
+            costs = np.sort(np.concatenate([f[1] for f in search.found]))
+            assert np.array_equal(np.sort(search.best), costs[:top])
+            expected = costs[top - 1] if len(costs) >= top else np.iinfo(np.int64).max
+            assert search.threshold == expected
+            cuts += 1
+
+        monkeypatch.setattr(optimize._Search, "_cut", spy)
+        search_schedules(query, top=top)
+        assert cuts
+
+    @pytest.mark.parametrize("max_levels,top", [(4, 1), (4, 50), (4, 1000), (5, 1000)])
+    def test_each_cut_partitions_kept_costs_and_new_rows(self, monkeypatch, max_levels, top):
+        # A cut reads the `top` costs kept and the rows found since the last
+        # cut, never every row found: the search-top query's largest
+        # partition read 719 costs when each cut re-read them all.
+        query = OptimizationQuery(SEED, BASELINE, 0.93, 1e-9, max_levels=max_levels, n_max=12)
+        partition, cut = np.partition, optimize._Search._cut
+        sizes = []
+        found_before = 0
+
+        def spy_partition(a, *args, **kwargs):
+            sizes.append(len(a))
+            return partition(a, *args, **kwargs)
+
+        def spy_cut(search, *args):
+            nonlocal found_before
+            found, calls = sum(len(f[1]) for f in search.found), len(sizes)
+            cut(search, *args)
+            assert all(size <= top + found - found_before for size in sizes[calls:])
+            found_before = found
+
+        monkeypatch.setattr(np, "partition", spy_partition)
+        monkeypatch.setattr(optimize._Search, "_cut", spy_cut)
+        assert len(search_schedules(query, top=top)) == top
+        assert sizes
+
 
 @functools.lru_cache(maxsize=None)
 def _full_listing(query):
@@ -576,7 +638,7 @@ class TestBlocks:
 
 
 class TestPasses:
-    """The search's rows do not depend on FUSE_ROWS, nor the front on PARETO_ROWS."""
+    """The search's rows do not depend on FUSE_ROWS, nor the front on BLOCK_ROWS."""
 
     QUERIES = [
         OptimizationQuery(NOISY, BASELINE, 0.3, 0.1, max_levels=3, n_max=6),
@@ -616,9 +678,9 @@ class TestPasses:
     @pytest.mark.parametrize("query", QUERIES, ids=["noisy", "p-act-below-q-err", "four-levels"])
     def test_chunked_front_equals_one_chunk(self, monkeypatch, query, rows):
         listing = search_schedules(query, top=None)
-        monkeypatch.setattr(optimize, "PARETO_ROWS", 2**62)
+        monkeypatch.setattr(optimize, "BLOCK_ROWS", 2**62)
         whole = pareto_front(listing)
-        monkeypatch.setattr(optimize, "PARETO_ROWS", rows)
+        monkeypatch.setattr(optimize, "BLOCK_ROWS", rows)
         got = pareto_front(listing)
         assert len(whole)
         for column in ("codes", "costs", "eta", "dcr"):
