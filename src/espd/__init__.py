@@ -16,10 +16,12 @@ Run labels (``run_label``, ``schedule_label``) live in
 
 import importlib
 
-# Submodule -> its public names, imported on first access.  ``binomial``
-# exports nothing here but resolves as ``espd.binomial``.
+# Submodule -> its public names, imported on first access.  ``binomial``,
+# ``golden`` and ``cli`` export nothing here but resolve as ``espd.<name>``.
 _MODULES = {
     "binomial": (),
+    "golden": (),
+    "cli": (),
     "dynamics": (
         "N_MAX",
         "MAX_LEVELS",

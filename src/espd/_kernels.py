@@ -79,13 +79,11 @@ def level_map_batch(
     n: int,
     ks,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The enhancement map over equal-shape arrays of (eta, d) states.
+    """The enhancement map over equal-shape float64 arrays of (eta, d) states.
 
     One ``(de, dcr)`` pair of arrays per vote threshold in ``ks``, in
     order, from one pass of :func:`espd.dynamics.level_figures`.
     """
-    eta = np.asarray(eta, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
     return dynamics.level_figures(*dynamics.firing_probs(eta, d, P, Q), p, n, ks)
 
 

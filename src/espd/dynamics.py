@@ -16,9 +16,10 @@ non-vacuum/vacuum gate input, ``p_sig``/``q_sig`` for the signal detector).
 
 Those four are one tuple, from :func:`firing_probs` (or, for the golden
 tables' ``approx`` variant, :func:`approx_firing_probs`), and
-:func:`level_figures` maps a tuple to the next level's figures.  The scalar
-entries :func:`level_map`, :func:`de_loss_case` and :func:`de_survive_case`
-all take the validated ``(det, params, config)``.
+:func:`level_figures` maps a tuple to the next level's figures, which
+:func:`screen_figures` bounds for the search's screen.  The scalar entries
+:func:`level_map`, :func:`de_loss_case` and :func:`de_survive_case` all
+take the validated ``(det, params, config)``.
 
 The records here (and in the other modules) are named tuples, built
 positionally or by keyword, immutable and hashable.  Those that carry
@@ -56,9 +57,8 @@ __all__ = [
     "ConvergenceRule",
     "firing_probs",
     "approx_firing_probs",
-    "vacuum_figures",
     "level_figures",
-    "de_ceiling",
+    "screen_figures",
     "de_loss_case",
     "de_survive_case",
     "level_map",
@@ -328,18 +328,12 @@ def _loss_tails(pp, py, qp, qy, n: int, i: int, ms) -> list:
     return tails
 
 
-def vacuum_figures(q_pos, q_sig, n: int, ks) -> tuple:
-    """The vacuum half of the level map: next-level dcr for each threshold in ``ks``.
-
-    On a vacuum input every auxiliary fires with ``q_pos`` and the signal
-    detector with ``q_sig``, whatever the transmission.  Returns
-    ``(qp, qy, dcrs, vacuum)``: the powers of ``q_pos`` and ``1 - q_pos`` up
-    to n, the dcrs in the order of ``ks``, and Bin(n, q_pos)'s tail table.
-    :func:`level_figures` calls it, so each dcr is the same bits as there.
-    """
-    qp, qy = _power_pair(q_pos, n)
-    vacuum = binomial.tail_table(n, qp, qy)
-    return qp, qy, [binomial.clamp1(v) for v in _vote(q_sig, vacuum, ks)], vacuum
+def _vacuum_dcrs(q_sig, vacuum, ks) -> list:
+    # The vacuum half of the level map, the dcr of each threshold in ks: on a
+    # vacuum input every auxiliary fires with q_pos, whose Bin(n, q_pos) tail
+    # table is `vacuum`, and the signal detector with q_sig, whatever the
+    # transmission.
+    return [binomial.clamp1(v) for v in _vote(q_sig, vacuum, ks)]
 
 
 def level_figures(p_pos, q_pos, p_sig, q_sig, p: float, n: int, ks) -> list:
@@ -351,12 +345,12 @@ def level_figures(p_pos, q_pos, p_sig, q_sig, p: float, n: int, ks) -> list:
     (returns floats) or equal-shape float64 arrays (returns arrays); both
     give bit-identical values.  DE mixes the loss scenarios, survive-all
     with weight ``p**n`` and lost-after-module-i with weight
-    ``p**(i-1) * (1-p)``; DCR is the vacuum-input vote of
-    :func:`vacuum_figures`, where transmission plays no role.  Work that
-    does not depend on k is done once, and each vote tail once, since
-    threshold k reads the tails at k and k - 1.
+    ``p**(i-1) * (1-p)``; DCR is the vacuum-input vote, where transmission
+    plays no role.  Work that does not depend on k is done once, and each
+    vote tail once, since threshold k reads the tails at k and k - 1.
     """
-    qp, qy, dcrs = vacuum_figures(q_pos, q_sig, n, ks)[:3]
+    qp, qy = _power_pair(q_pos, n)
+    dcrs = _vacuum_dcrs(q_sig, binomial.tail_table(n, qp, qy), ks)
     ms = {m for k in ks for m in (k - 1, k)}
     totals = [0.0] * len(ks)
     pw, rq = 1.0, 1.0 - q_sig
@@ -379,24 +373,35 @@ def level_figures(p_pos, q_pos, p_sig, q_sig, p: float, n: int, ks) -> list:
     ]
 
 
-def de_ceiling(p_pos, p_sig, q_sig, p: float, n: int, ks, vacuum=None) -> list:
-    """An upper bound on the next-level de for each vote threshold in ``ks``.
+def screen_figures(p_pos, q_pos, p_sig, q_sig, params: ComponentParams, n: int) -> list:
+    """``(ceiling, dcr)`` for each vote threshold k = 1..n, for the search's screen.
 
-    ``p**n * vote(p_sig, S) + (1 - p**n) * vote(q_sig, X)``, where S is
-    Bin(n, p_pos)'s tail table and X that of Bin(n, max(p_pos, q_pos)):
-    pass :func:`vacuum_figures`' table as ``vacuum`` where ``q_pos`` may
-    exceed ``p_pos`` (``Q_err > P_act``), else X is S.  The survive term is
-    :func:`level_figures`' own.  In each loss scenario every auxiliary
-    fires with probability at most max(p_pos, q_pos), and vote tails rise
-    with each detector's probability (the coupling argument, Shaked and
-    Shanthikumar, *Stochastic Orders*, 2007), so each scenario's vote is
-    at most the one over X; their weights sum to ``1 - p**n``.  The bound
-    holds up to rounding, a few ulps, which callers must allow for.
+    ``dcr`` is the next-level dark count, from :func:`level_figures`' own
+    vacuum half, so the same bits.  ``ceiling`` bounds the next-level de:
+    it is ``p**n * vote(p_sig, S) + (1 - p**n) * vote(q_sig, X)``, where S
+    is Bin(n, p_pos)'s tail table and X that of Bin(n, max(p_pos, q_pos)).
+    X is chosen here: S when ``P_act >= Q_err``, since then ``p_pos >=
+    q_pos`` (rounding is monotone), else the vacuum table Bin(n, q_pos).
+    The survive term is :func:`level_figures`' own.  In each loss scenario
+    every auxiliary fires with probability at most max(p_pos, q_pos), and
+    vote tails rise with each detector's probability (the coupling
+    argument, Shaked and Shanthikumar, *Stochastic Orders*, 2007), so each
+    scenario's vote is at most the one over X; their weights sum to
+    ``1 - p**n``.  The bound holds up to rounding, a few ulps, which
+    callers must allow for.
     """
+    ks = range(1, n + 1)
+    vacuum = binomial.tail_table(n, *_power_pair(q_pos, n))
+    dcrs = _vacuum_dcrs(q_sig, vacuum, ks)
+    if params.P_act >= params.Q_err:
+        vacuum = None  # X is S, and the table is not held while S is built
     survive = binomial.tail_table(n, *_power_pair(p_pos, n))
-    pw = binomial.powers(p, n)[n]
+    pw = binomial.powers(params.p, n)[n]
     loss = _vote(q_sig, survive if vacuum is None else vacuum, ks)
-    return [pw * s + (1.0 - pw) * x for s, x in zip(_vote(p_sig, survive, ks), loss)]
+    return [
+        (pw * s + (1.0 - pw) * x, dcr)
+        for s, x, dcr in zip(_vote(p_sig, survive, ks), loss, dcrs)
+    ]
 
 
 def de_loss_case(

@@ -33,11 +33,11 @@ Three prunes keep the tree manageable without touching exactness:
   next-level dark count, iterated over the remaining depth) stop
   expanding;
 * at the last level only, where a row is kept only if it meets both
-  targets, a screen runs before the kernel at each n.  It computes every
-  threshold's exact next-level dark count (the vacuum half of the level
-  map, :func:`espd.dynamics.vacuum_figures`) and a sound ceiling on its
-  efficiency (:func:`espd.dynamics.de_ceiling`, raised by a rounding
-  margin).  The kernel then gets only the parents that meet both targets
+  targets, a screen runs before the kernel at each n.  It takes every
+  threshold's exact next-level dark count and a sound ceiling on its
+  efficiency from :func:`espd.dynamics.screen_figures`, which also picks
+  the loss table the ceiling needs, and raises the ceiling by a rounding
+  margin.  The kernel then gets only the parents that meet both targets
   at some threshold, and only the thresholds some parent of the same
   block meets them at, so each row's tables are still built once for all
   of its thresholds.
@@ -88,11 +88,10 @@ from .dynamics import (
     Schedule,
     check_int,
     check_number,
-    de_ceiling,
     firing_probs,
     iterate_schedule,  # noqa: F401 -- looked up here by perfbench/tracer.py
     run_label,
-    vacuum_figures,
+    screen_figures,
 )
 
 __all__ = [
@@ -261,19 +260,12 @@ def _screen(probs: tuple, params: ComponentParams, n: int) -> list:
 
     ``probs`` is the states' :func:`~espd.dynamics.firing_probs` tuple.
     ``dcr`` is the next-level dark count, the same bits as the kernel's;
-    ``ceiling`` is :func:`~espd.dynamics.de_ceiling` raised by SLACK and
-    TINY, so no rounding lifts the kernel's efficiency above it.  A state
-    can meet the targets at (n, k) only if ``ceiling >= de_target`` and
-    ``dcr <= dcr_target``.
+    ``ceiling`` is :func:`~espd.dynamics.screen_figures`' bound raised by
+    SLACK and TINY, so no rounding lifts the kernel's efficiency above it.
+    A state can meet the targets at (n, k) only if ``ceiling >= de_target``
+    and ``dcr <= dcr_target``.
     """
-    p_pos, q_pos, p_sig, q_sig = probs
-    ks = range(1, n + 1)
-    dcrs, vacuum = vacuum_figures(q_pos, q_sig, n, ks)[2:]
-    # the auxiliaries fire with at most max(p_pos, q_pos), which is p_pos
-    # exactly when P_act >= Q_err (rounding is monotone)
-    vacuum = None if params.P_act >= params.Q_err else vacuum
-    ceilings = de_ceiling(p_pos, p_sig, q_sig, params.p, n, ks, vacuum)
-    return [(c * (1.0 + SLACK) + TINY, d) for c, d in zip(ceilings, dcrs)]
+    return [(c * (1.0 + SLACK) + TINY, d) for c, d in screen_figures(*probs, params, n)]
 
 
 def search_schedules(query: OptimizationQuery, top: int | None = 50) -> SearchResult:

@@ -121,6 +121,18 @@ print(json.dumps([before, kinds]))
     assert json.loads(_python(code, cwd=tmp_path)) == [[], ["module"] * 7]
 
 
+def test_golden_and_cli_resolve_on_first_access(tmp_path):
+    # neither is imported by the other, so each resolves through espd itself
+    code = """
+import json, sys
+import espd
+before = sorted(m for m in sys.modules if m.startswith("espd."))
+print(json.dumps([before, sorted(espd.golden.TABLES), espd.cli.main.__name__]))
+"""
+    before, tables, main = json.loads(_python(code, cwd=tmp_path))
+    assert (before, main) == ([], "main") and tables
+
+
 def test_every_public_name_resolves_and_is_listed(tmp_path):
     code = """
 import json, sys

@@ -51,6 +51,7 @@ def test_search_metrics_count_one_kernel_call_per_n(monkeypatch):
         0.93, 1e-3, max_levels=max_levels, n_max=n_max,
     )
     screened = _count_screened(monkeypatch, optimize)
+    _keep_etas(monkeypatch)
     tracer = tracer_mod.Tracer()
     tracer.install()
     try:
@@ -68,6 +69,21 @@ def test_search_metrics_count_one_kernel_call_per_n(monkeypatch):
     assert n_max * (max_levels - 1) < calls <= n_max * max_levels
     last_states = m["optimize.states_expanded"] - n_max * sum(inner)
     assert 0 < last_states <= n_max * last_frontier[0]
+
+
+def _keep_etas(monkeypatch):
+    # The tracer keys a search level on id(eta), and a freed level's address
+    # can go to the next level's array.  Every eta the kernel gets is held
+    # while the patch is, to the test's end, so each traced address stays
+    # its own array's.  Install before the tracer, which wraps this.
+    kernels = importlib.import_module("espd._kernels")
+    kernel, kept = kernels.level_map_batch, []
+
+    def keeping(eta, *args):
+        kept.append(eta)
+        return kernel(eta, *args)
+
+    monkeypatch.setattr(kernels, "level_map_batch", keeping)
 
 
 def _count_screened(monkeypatch, optimize):
@@ -115,6 +131,7 @@ def test_benchmark_search_layer_counts(monkeypatch, n_max, top, expected, last_f
         0.93, 1e-9, max_levels=4, n_max=n_max,
     )
     screened = _count_screened(monkeypatch, optimize)
+    _keep_etas(monkeypatch)
     tracer = tracer_mod.Tracer()
     tracer.install()
     try:
